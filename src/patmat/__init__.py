@@ -31,7 +31,6 @@ from .pattern import (
 from .rank import (
     DEFAULT_GRID_VALUES,
     RankVerdict,
-    RefutationBudget,
     StallReport,
     full_column_rank,
     full_row_rank,
@@ -89,7 +88,6 @@ __all__ = [
     "derive_seed",
     "RankVerdict",
     "StallReport",
-    "RefutationBudget",
     "DEFAULT_GRID_VALUES",
     "full_row_rank",
     "full_column_rank",

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionError, MembershipError, TextParseError, VertexRangeError
@@ -24,7 +23,7 @@ from .oracles import (
     rank_soundness,
 )
 from .pattern import PatternMatrix, parse_pattern_text
-from .rank import RankVerdict, RefutationBudget, full_row_rank, refute_full_rank
+from .rank import RankVerdict, full_row_rank, refute_full_rank
 from .realization import RealizationMatrix
 from .systems import (
     AnalysisReport,
@@ -50,8 +49,12 @@ def _read_pattern(path: str) -> PatternMatrix:
         return parse_pattern_text(handle.read())
 
 
-def _parse_vertex_list(text: str) -> tuple[int, ...]:
-    """Comma list with dash ranges, 1-based: '1,2' or '1-7' or '1,3-5'."""
+def _parse_vertex_list(text: str, n: int) -> tuple[int, ...]:
+    """Comma list with dash ranges, 1-based: '1,2' or '1-7' or '1,3-5'.
+
+    Every bound is checked against the vertex count n before a range is
+    expanded, so an oversized range fails without being materialised.
+    """
     out: list[int] = []
     for piece in text.split(","):
         piece = piece.strip()
@@ -62,19 +65,15 @@ def _parse_vertex_list(text: str) -> tuple[int, ...]:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError(f"empty vertex range {piece!r}")
-            out.extend(range(lo, hi + 1))
         else:
-            out.append(int(piece))
+            lo = hi = int(piece)
+        for v in (lo, hi):
+            if not 1 <= v <= n:
+                raise VertexRangeError(f"vertex {v} outside range 1..{n}")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError(f"empty vertex list {text!r}")
     return tuple(v - 1 for v in out)
-
-
-def _parse_grid(text: str) -> tuple:
-    values = tuple(Fraction(piece.strip()) for piece in text.split(",") if piece.strip())
-    if not values:
-        raise ValueError(f"empty grid {text!r}")
-    return values
 
 
 def _witness_json(witness: Optional[RealizationMatrix]):
@@ -169,8 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("rank", help="strong full row rank with certificate")
     p_rank.add_argument("pattern")
-    p_rank.add_argument("--budget-grid", metavar="LIST", default=None,
-                        help="comma list of rationals for the refutation grid")
     common(p_rank)
 
     p_ssc = sub.add_parser("ssc", help="strong structural controllability of (A, B)")
@@ -263,22 +260,16 @@ def _dispatch(args, started: float) -> int:
 
     if command == "rank":
         pattern = _read_pattern(args.pattern)
-        budget = RefutationBudget()
-        if args.budget_grid is not None:
-            budget = RefutationBudget(grid_values=_parse_grid(args.budget_grid))
         verdict = full_row_rank(pattern)
         if not verdict.full_rank:
-            verdict = verdict.with_witness(refute_full_rank(pattern, budget))
+            verdict = verdict.with_witness(refute_full_rank(pattern))
         if verdict.full_rank:
             pivot_text = ", ".join(f"({i}, {j})" for i, j in verdict.pivots)
             print(f"full row rank; pivots: {pivot_text or '(none)'}")
         else:
             print(f"not full row rank: {verdict.stall.reason}")
-            if verdict.witness is not None:
-                print("rank-deficient member:")
-                print(verdict.witness)
-            else:
-                print("no witness found within budget")
+            print("rank-deficient member:")
+            print(verdict.witness)
         _emit(
             {
                 "schema_version": SCHEMA_VERSION,
@@ -332,7 +323,9 @@ def _dispatch(args, started: float) -> int:
         with open(args.graph, "r", encoding="utf-8") as handle:
             graph = parse_graph(handle.read())
         problem = NetworkProblem(
-            graph, _parse_vertex_list(args.leaders), _parse_vertex_list(args.targets)
+            graph,
+            _parse_vertex_list(args.leaders, graph.n),
+            _parse_vertex_list(args.targets, graph.n),
         )
         report = check_target_controllability(problem)
         _print_report(report)

@@ -9,29 +9,27 @@ coordinate of any left null vector to vanish, row by row.
 
 On success the verdict carries the pivot sequence, which can be replayed
 against the pattern by verify_certificate.  On failure it carries the
-stalled residual, and refute_full_rank can search for an explicit member
-with deficient rank, verified in exact arithmetic.
+stalled residual, and refute_full_rank turns the stalled rows into an
+explicit member with deficient rank, verified in exact arithmetic; it
+returns None exactly when the pattern has full row rank.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .errors import DimensionError
 from .pattern import PatternMatrix
-from .realization import RealizationMatrix, contains, derive_seed
+from .realization import RealizationMatrix, contains
 from .symbols import QUEST, STAR, ZERO
 
 __all__ = [
     "StallReport",
     "RankVerdict",
-    "RefutationBudget",
     "DEFAULT_GRID_VALUES",
     "full_row_rank",
     "full_column_rank",
@@ -72,26 +70,6 @@ class RankVerdict:
 
     def with_witness(self, witness: Optional[RealizationMatrix]) -> "RankVerdict":
         return RankVerdict(self.full_rank, self.pivots, self.stall, witness)
-
-
-@dataclass(frozen=True)
-class RefutationBudget:
-    """Search budget for refute_full_rank.
-
-    grid_values feeds the exhaustive grid; * entries only draw from its
-    nonzero subset.  Restarts and iterations bound the numeric descent.
-    """
-
-    grid_values: tuple = DEFAULT_GRID_VALUES
-    max_random_restarts: int = 8
-    descent_iterations: int = 60
-
-    def __post_init__(self):
-        if not any(v != 0 for v in self.grid_values):
-            raise ValueError("grid_values needs at least one nonzero value")
-
-
-DEFAULT_BUDGET = RefutationBudget()
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +203,32 @@ def strongly_nonsingular_square(pattern: PatternMatrix) -> bool:
 
     match_col = [-1] * n  # column -> matched row
 
-    def augment(r: int, seen: list[bool]) -> bool:
-        for c in adj[r]:
-            if not seen[c]:
-                seen[c] = True
-                if match_col[c] == -1 or augment(match_col[c], seen):
-                    match_col[c] = r
-                    return True
+    def augment(root: int) -> bool:
+        # depth-first search for an augmenting path, kept on an explicit
+        # stack so that long alternating paths cannot overflow the call stack
+        seen = [False] * n
+        stack = [(root, iter(adj[root]))]
+        path_cols: list[int] = []  # path_cols[k] leaves the row of stack[k]
+        while stack:
+            for c in stack[-1][1]:
+                if not seen[c]:
+                    seen[c] = True
+                    break
+            else:
+                stack.pop()
+                if path_cols:
+                    path_cols.pop()
+                continue
+            path_cols.append(c)
+            if match_col[c] == -1:
+                for (r, _), col in zip(stack, path_cols):
+                    match_col[col] = r
+                return True
+            stack.append((match_col[c], iter(adj[match_col[c]])))
         return False
 
     for r in range(n):
-        if not augment(r, [False] * n):
+        if not augment(r):
             return False  # no perfect matching at all
 
     if any(pattern[match_col[c], c] is not STAR for c in range(n)):
@@ -277,69 +270,50 @@ def strongly_nonsingular_square(pattern: PatternMatrix) -> bool:
 
 
 def numeric_rank(matrix: RealizationMatrix, tol=0) -> int:
-    """Rank by row reduction with partial pivoting.
+    """Rank by row reduction.
 
-    A pivot candidate with absolute value at most tol times the largest
-    initial absolute entry counts as zero.  With exact (int or Fraction)
-    entries and tol=0 the result is the exact rank; float and complex
-    entries are supported for numeric oracles.
+    With exact (int or Fraction) entries and tol=0 the result is the exact
+    rank.  Otherwise (float and complex entries of the numeric oracles, or
+    tol > 0) a partial-pivoting reduction counts a pivot candidate with
+    absolute value at most tol times the largest initial absolute entry as
+    zero.
     """
     if tol < 0:
         raise ValueError("negative tolerance")
     if matrix.rows == 0 or matrix.cols == 0:
         return 0
     if tol == 0 and matrix.is_exact():
-        if all(isinstance(e, int) for e in matrix.entries):
-            return _int_rank(matrix.to_rows())
-        return _exact_rank(
-            [[Fraction(e) for e in row] for row in matrix.to_rows()]
-        )
+        return _exact_rank(matrix.to_rows())
     return _scaled_rank(matrix.to_rows(), tol)
 
 
-def _int_rank(a: list[list[int]]) -> int:
-    # division-free elimination, exact over the integers
+def _exact_rank(a: list[list]) -> int:
+    """Rank of int or Fraction rows by Bareiss's fraction-free elimination
+    (Math. Comp. 22, 1968).  Each row is first scaled to integers by the lcm
+    of its denominators; every later division is exact, so an entry never
+    grows past the size of a minor of the scaled matrix."""
+    scaled = []
+    for row in a:
+        scale = math.lcm(*(e.denominator for e in row))
+        scaled.append([e.numerator * (scale // e.denominator) for e in row])
+    a = scaled
     rows, cols = len(a), len(a[0])
     r = 0
+    previous = 1
     for c in range(cols):
-        pivot = -1
-        for i in range(r, rows):
-            if a[i][c]:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, rows) if a[i][c]), -1)
         if pivot < 0:
             continue
         a[r], a[pivot] = a[pivot], a[r]
         pr = a[r]
         pv = pr[c]
         for i in range(r + 1, rows):
-            q = a[i][c]
-            if q:
-                ai = a[i]
-                for k in range(c, cols):
-                    ai[k] = ai[k] * pv - pr[k] * q
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def _exact_rank(a: list[list[Fraction]]) -> int:
-    rows, cols = len(a), len(a[0])
-    r = 0
-    for c in range(cols):
-        pivot = max(range(r, rows), key=lambda i: abs(a[i][c]))
-        if a[pivot][c] == 0:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pr = a[r]
-        pv = pr[c]
-        for i in range(r + 1, rows):
-            f = a[i][c] / pv
-            if f:
-                ai = a[i]
-                for k in range(c, cols):
-                    ai[k] -= f * pr[k]
+            ai = a[i]
+            q = ai[c]
+            for k in range(c + 1, cols):
+                ai[k] = (ai[k] * pv - pr[k] * q) // previous
+            ai[c] = 0
+        previous = pv
         r += 1
         if r == rows:
             break
@@ -386,12 +360,6 @@ def _ordered_grid(values) -> tuple[tuple, tuple]:
     return ordered, star_values
 
 
-def _verified(pattern: PatternMatrix, witness: RealizationMatrix):
-    if contains(pattern, witness, 0) and numeric_rank(witness, 0) < pattern.rows:
-        return witness
-    return None
-
-
 def grid_witness_search(
     pattern: PatternMatrix, grid_values=DEFAULT_GRID_VALUES
 ) -> Optional[RealizationMatrix]:
@@ -413,201 +381,58 @@ def grid_witness_search(
         star_values if pattern.entries[i] is STAR else quest_values for i in free
     ]
     template = [0] * (rows * cols)
-    ints_only = all(isinstance(v, int) for d in domains for v in d)
-    rank_fn = _int_rank if ints_only else lambda a: numeric_rank(
-        RealizationMatrix(rows, cols, tuple(x for r in a for x in r)), 0
-    )
     for combo in itertools.product(*domains):
         for pos, v in zip(free, combo):
             template[pos] = v
         a = [template[i * cols : (i + 1) * cols] for i in range(rows)]
-        if rank_fn(a) < rows:
+        if _exact_rank(a) < rows:
             witness = RealizationMatrix(rows, cols, tuple(template))
-            verified = _verified(pattern, witness)
-            if verified is not None:
-                return verified
+            if contains(pattern, witness, 0):
+                return witness
     return None
 
 
-def _equal_rows_witness(pattern: PatternMatrix) -> Optional[RealizationMatrix]:
-    """Try to make two rows identical; a 0/* clash in some column rules a
-    pair out, otherwise 1 serves where a * demands nonzero and 0 elsewhere."""
-    rows, cols = pattern.rows, pattern.cols
-    for i in range(rows):
-        for k in range(i + 1, rows):
-            values = []
-            for j in range(cols):
-                pair = (pattern[i, j], pattern[k, j])
-                if STAR in pair:
-                    if ZERO in pair:
-                        break
-                    values.append(1)
-                else:
-                    values.append(0)
-            else:
-                entries = []
-                for r in range(rows):
-                    if r == i or r == k:
-                        entries.extend(values)
-                    else:
-                        entries.extend(
-                            1 if pattern[r, j] is STAR else 0 for j in range(cols)
-                        )
-                witness = _verified(
-                    pattern, RealizationMatrix(rows, cols, tuple(entries))
-                )
-                if witness is not None:
-                    return witness
-    return None
+def refute_full_rank(pattern: PatternMatrix) -> Optional[RealizationMatrix]:
+    """Exact member of the pattern class with rank below the row count, or
+    None when the pattern has full row rank.
 
-
-def _null_combination_witness(
-    pattern: PatternMatrix,
-) -> Optional[RealizationMatrix]:
-    """Search for a row subset S supporting a vanishing combination.
-
-    A member with a left null vector supported exactly on S exists iff no
-    column meets S in exactly one * and no ?.  Subsets are tried smallest
-    first, so an all-removable row (no * anywhere) yields a zero-row
-    witness.  Complete for patterns with at most 16 rows.
+    The member is built from where elimination stalls.  Every pivoted column
+    is zero on the stalled rows R, and no other column meets R in a lone *
+    without a ?.  Give the k-th row of R the sign y = (-1)^k; each column is
+    then filled so that y, supported on R, is a left null vector: a lone *
+    gets 1 and the first ? on R cancels it; two or more * get the signs of
+    their rows, the last one balancing the rest.  Rows outside R take 1 on *
+    and 0 on ?.  The member is re-verified in exact arithmetic.
     """
-    rows, cols = pattern.rows, pattern.cols
-    if rows == 0 or rows > 16:
+    _, stall = _eliminate(pattern, _first)
+    if stall is None:
         return None
-    star_rows = [
-        frozenset(i for i in range(rows) if pattern[i, j] is STAR)
-        for j in range(cols)
-    ]
-    quest_rows = [
-        frozenset(i for i in range(rows) if pattern[i, j] is QUEST)
-        for j in range(cols)
-    ]
-    for size in range(1, rows + 1):
-        for subset in itertools.combinations(range(rows), size):
-            sset = frozenset(subset)
-            if any(
-                len(star_rows[j] & sset) == 1 and not (quest_rows[j] & sset)
-                for j in range(cols)
-            ):
-                continue
-            entries = [0] * (rows * cols)
-            for r in range(rows):
-                if r in sset:
-                    continue
-                for j in range(cols):
-                    if pattern[r, j] is STAR:
-                        entries[r * cols + j] = 1
-            for j in range(cols):
-                stars = sorted(star_rows[j] & sset)
-                quests = sorted(quest_rows[j] & sset)
-                if not stars:
-                    continue  # whole column of S stays zero
-                if len(stars) == 1:
-                    entries[stars[0] * cols + j] = 1
-                    entries[quests[0] * cols + j] = -1
-                elif quests:
-                    for r in stars:
-                        entries[r * cols + j] = 1
-                    entries[quests[0] * cols + j] = -len(stars)
-                else:
-                    for r in stars[:-1]:
-                        entries[r * cols + j] = 1
-                    entries[stars[-1] * cols + j] = -(len(stars) - 1)
-            witness = _verified(
-                pattern, RealizationMatrix(rows, cols, tuple(entries))
-            )
-            if witness is not None:
-                return witness
-    return None
-
-
-def _descent_witness(
-    pattern: PatternMatrix, budget: RefutationBudget
-) -> Optional[RealizationMatrix]:
-    """Random restarts plus coordinate descent on the smallest singular
-    value, then exact rational rounding and re-verification."""
+    stalled = stall[0]
     rows, cols = pattern.rows, pattern.cols
-    free = [
-        (i, s) for i, s in enumerate(pattern.entries) if s is not ZERO
+    sign = {r: (-1) ** k for k, r in enumerate(stalled)}
+    entries = [
+        1 if s is STAR and i // cols not in sign else 0
+        for i, s in enumerate(pattern.entries)
     ]
-    if rows == 0 or not free or budget.max_random_restarts <= 0:
-        return None
-
-    def smallest_sv(flat: list[float]) -> float:
-        arr = np.array(flat, dtype=float).reshape(rows, cols)
-        return float(np.linalg.svd(arr, compute_uv=False)[-1])
-
-    for restart in range(budget.max_random_restarts):
-        rng = random.Random(derive_seed(0xD5, restart))
-        flat = [0.0] * (rows * cols)
-        for pos, sym in free:
-            mag = rng.uniform(0.5, 2.0) * rng.choice((1.0, -1.0))
-            flat[pos] = mag if sym is STAR else rng.uniform(-1.5, 1.5)
-        best = smallest_sv(flat)
-        for it in range(budget.descent_iterations):
-            step = 1.0 / (1 + it)
-            improved = False
-            for pos, sym in free:
-                old = flat[pos]
-                candidates = [old * 0.5, old * 2.0, -old, old + step, old - step]
-                if sym is QUEST:
-                    candidates.append(0.0)
-                for cand in candidates:
-                    if sym is STAR and abs(cand) < 1e-3:
-                        continue
-                    flat[pos] = cand
-                    sv = smallest_sv(flat)
-                    if sv < best - 1e-15:
-                        best = sv
-                        old = cand
-                        improved = True
-                flat[pos] = old
-            if best < 1e-12 or not improved:
-                break
-        if best > 1e-6:
-            continue
-        for denominator in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64):
-            entries: list = [0] * (rows * cols)
-            for pos, sym in free:
-                approx = Fraction(round(flat[pos] * denominator), denominator)
-                if sym is STAR and approx == 0:
-                    approx = Fraction(1 if flat[pos] >= 0 else -1, denominator)
-                entries[pos] = approx
-            witness = _verified(
-                pattern, RealizationMatrix(rows, cols, tuple(entries))
-            )
-            if witness is not None:
-                return witness
-    return None
-
-
-def refute_full_rank(
-    pattern: PatternMatrix, budget: Optional[RefutationBudget] = None
-) -> Optional[RealizationMatrix]:
-    """Search for a member of the pattern class with rank below the row
-    count.  Any returned witness is verified in exact arithmetic; None
-    means the budget was exhausted without finding one."""
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    rows, cols = pattern.rows, pattern.cols
-    if rows == 0:
-        return None
-    if rows > cols:
-        # every member is deficient; produce a canonical one
-        entries = tuple(1 if s is STAR else 0 for s in pattern.entries)
-        return _verified(pattern, RealizationMatrix(rows, cols, entries))
-    free_count = sum(1 for s in pattern.entries if s is not ZERO)
-    if free_count <= 10:
-        witness = grid_witness_search(pattern, budget.grid_values)
-        if witness is not None:
-            return witness
-    witness = _equal_rows_witness(pattern)
-    if witness is not None:
-        return witness
-    witness = _null_combination_witness(pattern)
-    if witness is not None:
-        return witness
-    return _descent_witness(pattern, budget)
+    for j in range(cols):
+        stars = [r for r in stalled if pattern[r, j] is STAR]
+        if len(stars) == 1:
+            # a lone * would have been a pivot, so a ? shares the column
+            s = stars[0]
+            q = next(r for r in stalled if pattern[r, j] is QUEST)
+            entries[s * cols + j] = 1
+            entries[q * cols + j] = -sign[s] * sign[q]
+        elif stars:
+            for r in stars[:-1]:
+                entries[r * cols + j] = sign[r]
+            last = stars[-1]
+            entries[last * cols + j] = -(len(stars) - 1) * sign[last]
+    witness = RealizationMatrix(rows, cols, tuple(entries))
+    if not (contains(pattern, witness, 0) and numeric_rank(witness, 0) < rows):
+        raise RuntimeError(
+            f"stall witness failed exact verification:\n{pattern.to_text()}"
+        )
+    return witness
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from contextlib import contextmanager
 from patmat import (
     PatternMatrix,
     RealizationMatrix,
-    RefutationBudget,
     StructuredDescriptorSystem,
     StructuredIOSystem,
     ValueDistribution,
@@ -47,7 +46,6 @@ from patmat.systems import build_output_ctrl_pattern
 from helpers import fig1_graph_text, random_pattern
 
 SYMBOLS = (ZERO, STAR, QUEST)
-NO_DESCENT = RefutationBudget(max_random_restarts=0)
 
 
 @contextmanager
@@ -188,7 +186,7 @@ def test_criterion_5_pencil_agreement():
                         assert numeric_rank(ra - rb.scaled(lam), 1e-9) == 3
             else:
                 false_cases += 1
-                parts = pencil_refutation_witness(a, b, NO_DESCENT)
+                parts = pencil_refutation_witness(a, b)
                 assert parts is not None, (a.to_text(), b.to_text())
                 left, right, total = parts
                 assert contains(a, left, 0)
@@ -302,7 +300,7 @@ def test_criterion_8_iso_soundness():
                 assert result.ok, result
             elif report.verdict is Verdict.FAILS and fails_checked < 20:
                 fails_checked += 1
-                refutation = iso_deficiency_witness(system, NO_DESCENT)
+                refutation = iso_deficiency_witness(system)
                 assert refutation is not None
                 witness = refutation.witness
                 assert witness.is_exact()

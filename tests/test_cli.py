@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from patmat.cli import run
+from patmat import VertexRangeError
+from patmat.cli import _parse_vertex_list, run
 
 from helpers import fig1_graph_text
 
@@ -43,10 +44,6 @@ class TestRankCommand:
         assert payload["result"]["witness"] == [["1", "1"], ["1", "1"]]
         out = capsys.readouterr().out
         assert "not full row rank" in out
-
-    def test_budget_grid_accepts_rationals(self, write):
-        path = write("a.pat", "* *\n* *\n")
-        assert run(["rank", path, "--budget-grid", "1/2,-1/2,1,-1"]) == 1
 
     def test_missing_file_is_input_error(self):
         assert run(["rank", "/nonexistent/x.pat"]) == 3
@@ -143,6 +140,12 @@ class TestTargetCommand:
         graph = write("g.graph", "n 4\n1 2\n")
         assert run(["target", graph, "--leaders", "1", "--targets", "5"]) == 3
 
+    def test_oversized_range_is_rejected_before_expansion(self, write):
+        with pytest.raises(VertexRangeError):
+            _parse_vertex_list("1-1000000000", 9)
+        graph = write("fig1.graph", fig1_graph_text())
+        assert run(["target", graph, "--leaders", "1-1000000000", "--targets", "1"]) == 3
+
 
 class TestOracleCommand:
     def test_minkowski_reports_all_trials(self, write, capsys):
@@ -183,7 +186,7 @@ class TestJsonDeterminism:
     def test_witness_entries_are_rational_strings(self, write, tmp_path):
         a = write("a.pat", "* *\n* ?\n")
         report = str(tmp_path / "r.json")
-        run(["rank", a, "--budget-grid", "1/2,-1/2,1,-1,0", "--json", report])
+        run(["rank", a, "--json", report])
         payload = json.loads(open(report).read())
         witness = payload["result"]["witness"]
         assert witness is not None
@@ -191,6 +194,24 @@ class TestJsonDeterminism:
             for cell in row:
                 assert isinstance(cell, str)
                 assert re.fullmatch(r"-?\d+(/\d+)?", cell)
+
+
+class TestImportPath:
+    def test_decision_commands_run_without_numpy(self, write):
+        a = write("a.pat", "* *\n* *\n")
+        b = write("b.pat", "*\n0\n")
+        graph = write("fig1.graph", fig1_graph_text())
+        code = (
+            "import sys, patmat, patmat.cli\n"
+            f"patmat.cli.run(['rank', {a!r}])\n"
+            f"patmat.cli.run(['ssc', {a!r}, {b!r}])\n"
+            f"patmat.cli.run(['target', {graph!r}, '--leaders', '1,2', '--targets', '1-7'])\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestUsageErrors:

@@ -1,0 +1,115 @@
+"""Property tests beyond the exhaustive small-shape sweeps.
+
+Hypothesis runs derandomized, without a deadline or an example database, so
+every run checks the same examples.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from patmat import (
+    PatternMatrix,
+    RealizationMatrix,
+    contains,
+    full_row_rank,
+    numeric_rank,
+    refute_full_rank,
+    verify_certificate,
+)
+from patmat.symbols import QUEST, STAR, ZERO
+
+SYMBOLS = (ZERO, STAR, QUEST)
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+@st.composite
+def patterns(draw, max_rows=40, max_cols=60):
+    """Random patterns; about half get a planted triangular * block, which
+    makes them full row rank, and then a few entries flipped at random, which
+    may break it again."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    weights = draw(st.sampled_from([(1, 1, 1), (6, 3, 1), (8, 1, 1), (3, 1, 6)]))
+    rng = draw(st.randoms(use_true_random=False))
+    grid = [rng.choices(SYMBOLS, weights, k=cols) for _ in range(rows)]
+    if rows <= cols and draw(st.booleans()):
+        for i, c in enumerate(rng.sample(range(cols), rows)):
+            for r in range(i):
+                grid[r][c] = ZERO
+            grid[i][c] = STAR
+        for _ in range(draw(st.integers(0, 3))):
+            grid[rng.randrange(rows)][rng.randrange(cols)] = rng.choice(SYMBOLS)
+    return PatternMatrix(rows, cols, tuple(s for row in grid for s in row))
+
+
+@st.composite
+def exact_matrices(draw, max_size=30):
+    """Random int or Fraction matrices; some rows are replaced by integer
+    combinations of the others, planting a rank deficiency."""
+    rows = draw(st.integers(1, max_size))
+    cols = draw(st.integers(1, max_size))
+    fractions = draw(st.booleans())
+    rng = draw(st.randoms(use_true_random=False))
+
+    def scalar():
+        if fractions:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        return rng.randint(-3, 3)
+
+    a = [[scalar() for _ in range(cols)] for _ in range(rows)]
+    if rows > 1:
+        for _ in range(draw(st.integers(0, rows - 1))):
+            target = rng.randrange(rows)
+            sources = [i for i in range(rows) if i != target]
+            picked = rng.sample(sources, rng.randint(1, min(3, len(sources))))
+            coeffs = [rng.randint(-2, 2) for _ in picked]
+            a[target] = [
+                sum(k * a[i][j] for k, i in zip(coeffs, picked)) for j in range(cols)
+            ]
+    return RealizationMatrix.from_rows(a)
+
+
+def _reference_rank(a: list[list]) -> int:
+    """Plain Gaussian elimination over the rationals, for comparison."""
+    a = [[Fraction(e) for e in row] for row in a]
+    rows, cols = len(a), len(a[0])
+    r = 0
+    for c in range(cols):
+        pivot = max(range(r, rows), key=lambda i: abs(a[i][c]))
+        if a[pivot][c] == 0:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        pr = a[r]
+        pv = pr[c]
+        for i in range(r + 1, rows):
+            f = a[i][c] / pv
+            if f:
+                ai = a[i]
+                for k in range(c, cols):
+                    ai[k] -= f * pr[k]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+@PROPERTY
+@given(patterns())
+def test_refutation_exists_exactly_when_elimination_stalls(pattern):
+    verdict = full_row_rank(pattern)
+    witness = refute_full_rank(pattern)
+    if verdict.full_rank:
+        assert witness is None
+        assert verify_certificate(pattern, verdict.pivots)
+    else:
+        assert witness is not None
+        assert contains(pattern, witness, 0)
+        assert numeric_rank(witness, 0) < pattern.rows
+
+
+@PROPERTY
+@given(exact_matrices())
+def test_exact_rank_matches_rational_elimination(matrix):
+    assert numeric_rank(matrix, 0) == _reference_rank(matrix.to_rows())

@@ -9,7 +9,6 @@ from patmat import (
     DimensionError,
     PatternMatrix,
     RealizationMatrix,
-    RefutationBudget,
     ValueDistribution,
     contains,
     derive_seed,
@@ -26,13 +25,12 @@ from patmat import (
     verify_certificate,
 )
 from patmat.oracles import pencil_agreement, pencil_refutation_witness, rank_soundness
+from patmat.symbols import STAR, ZERO
 
 from helpers import random_pattern, random_shape
 
 P = PatternMatrix.from_text
 R = RealizationMatrix.from_rows
-
-NO_DESCENT = RefutationBudget(max_random_restarts=0)
 
 
 class TestFullRowRank:
@@ -90,7 +88,7 @@ class TestFullColumnRank:
     def test_all_quest_column_fails(self):
         verdict = full_column_rank(P("?\n?"))
         assert not verdict.full_rank
-        witness_t = refute_full_rank(P("?\n?").transpose(), NO_DESCENT)
+        witness_t = refute_full_rank(P("?\n?").transpose())
         assert witness_t is not None
         assert all(e == 0 for e in witness_t.entries)
 
@@ -196,6 +194,15 @@ class TestStronglyNonsingular:
         with pytest.raises(DimensionError):
             strongly_nonsingular_square(P("* 0"))
 
+    def test_long_alternating_paths_do_not_recurse(self):
+        # lower bidiagonal: row i is nonzero in columns i-1 and i, so every
+        # augmenting search walks back through all earlier rows
+        n = 1200
+        entries = tuple(
+            STAR if j in (i - 1, i) else ZERO for i in range(n) for j in range(n)
+        )
+        assert strongly_nonsingular_square(PatternMatrix(n, n, entries))
+
     def test_agrees_with_elimination_on_random_squares(self):
         rng = random.Random(47)
         for _ in range(500):
@@ -242,12 +249,12 @@ class TestNumericRank:
 
 class TestRefutation:
     def test_all_star_square_yields_all_ones(self):
-        witness = refute_full_rank(P("* *\n* *"), NO_DESCENT)
+        witness = refute_full_rank(P("* *\n* *"))
         assert witness == R([[1, 1], [1, 1]])
 
     def test_equal_rows_heuristic_target(self):
         pattern = P("* * ?\n? * *")
-        witness = refute_full_rank(pattern, NO_DESCENT)
+        witness = refute_full_rank(pattern)
         assert witness is not None
         assert witness.row(0) == witness.row(1) == (1, 1, 1)
 
@@ -272,7 +279,7 @@ class TestRefutation:
             pattern = random_pattern(rng, rows, rng.randint(rows, 4))
             if full_row_rank(pattern).full_rank:
                 continue
-            witness = refute_full_rank(pattern, NO_DESCENT)
+            witness = refute_full_rank(pattern)
             assert witness is not None, pattern.to_text()
             assert witness.is_exact()
             assert contains(pattern, witness, 0)
@@ -281,30 +288,16 @@ class TestRefutation:
         assert found > 50
 
     def test_row_subset_strategy_beyond_grid_and_equal_rows(self):
-        # 14 free entries disable the grid and every row pair has a 0/*
-        # clash, yet the three rows together support a vanishing
-        # combination, so an exact witness must still be produced.
+        # every row pair has a 0/* clash, yet the three rows together
+        # support a vanishing combination, so an exact witness must still
+        # be produced.
         pattern = P("* 0 * ? ? ?\n0 * ? * ? ?\n? ? 0 0 ? ?")
         assert not full_row_rank(pattern).full_rank
-        witness = refute_full_rank(pattern, NO_DESCENT)
+        witness = refute_full_rank(pattern)
         assert witness is not None
         assert witness.is_exact()
         assert contains(pattern, witness, 0)
         assert numeric_rank(witness, 0) < 3
-
-    def test_descent_output_is_exact_when_present(self):
-        from patmat.rank import _descent_witness
-
-        pattern = P("* *\n* *")
-        witness = _descent_witness(pattern, RefutationBudget())
-        if witness is not None:
-            assert witness.is_exact()
-            assert contains(pattern, witness, 0)
-            assert numeric_rank(witness, 0) < 2
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            RefutationBudget(grid_values=(0,))
 
     def test_refuter_agrees_with_elimination_on_all_2x3_patterns(self):
         import itertools
@@ -315,7 +308,7 @@ class TestRefutation:
             pattern = PatternMatrix(2, 3, combo)
             if full_row_rank(pattern).full_rank:
                 continue
-            witness = refute_full_rank(pattern, NO_DESCENT)
+            witness = refute_full_rank(pattern)
             assert witness is not None, pattern.to_text()
             assert numeric_rank(witness, 0) < 2
 
