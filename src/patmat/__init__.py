@@ -29,7 +29,6 @@ from .pattern import (
     vstack,
 )
 from .rank import (
-    DEFAULT_GRID_VALUES,
     RankVerdict,
     StallReport,
     full_column_rank,
@@ -88,7 +87,6 @@ __all__ = [
     "derive_seed",
     "RankVerdict",
     "StallReport",
-    "DEFAULT_GRID_VALUES",
     "full_row_rank",
     "full_column_rank",
     "verify_certificate",

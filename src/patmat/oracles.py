@@ -100,6 +100,24 @@ def sample_lambdas(count: int, seed: int, include_zero: bool = False) -> list[co
     return values[:count]
 
 
+def _first_deficient_lambda(
+    m: RealizationMatrix,
+    e: RealizationMatrix,
+    lambdas: list[complex],
+    needed: int,
+    tol: float,
+) -> Optional[complex]:
+    """First lambda at which numeric_rank(m - lambda*e, tol) < needed, or
+    None.  Both members are converted to complex once, not once per lambda."""
+    m_values = [complex(x) for x in m.entries]
+    e_values = [complex(x) for x in e.entries]
+    for lam in lambdas:
+        shifted = tuple(x - lam * y for x, y in zip(m_values, e_values))
+        if numeric_rank(RealizationMatrix(m.rows, m.cols, shifted), tol) < needed:
+            return lam
+    return None
+
+
 def pencil_refutation_witness(
     a: PatternMatrix, b: PatternMatrix
 ) -> Optional[tuple[RealizationMatrix, RealizationMatrix, RealizationMatrix]]:
@@ -141,11 +159,7 @@ def pencil_agreement(
         for t in range(trials):
             ra = sample_member(a, _dist(seed, 2 * t))
             rb = sample_member(b, _dist(seed, 2 * t + 1))
-            bad = None
-            for lam in lambdas:
-                if numeric_rank(ra - rb.scaled(lam), tol) != expected:
-                    bad = lam
-                    break
+            bad = _first_deficient_lambda(ra, rb, lambdas, expected, tol)
             if bad is None:
                 passes += 1
             elif counterexample is None:
@@ -206,12 +220,15 @@ def iso_stacked_rank_check(
 ) -> OracleResult:
     """For an ISO verdict of Holds: sampled members of (A, B, C, D) must
     give [[A - lambda I, B], [C, D]] full column rank for sampled lambdas
-    including zero (singular values batched via numpy)."""
-    import numpy as np  # the only numpy user; kept off the import path
-
+    including zero.  That matrix is the pencil M - lambda*E with
+    M = [[A B],[C D]] and E = [[I 0],[0 0]], ranked like the pencil oracle's
+    by numeric_rank with tolerance tol."""
     n, m, p = system.n, system.m, system.p
-    rank_needed = n + m
-    lambdas = np.array(sample_lambdas(lam_count, seed, include_zero=True))
+    lambdas = sample_lambdas(lam_count, seed, include_zero=True)
+    shift = RealizationMatrix.from_rows(
+        [[int(i == j) for j in range(n + m)] for i in range(n)]
+        + [[0] * (n + m) for _ in range(p)]
+    )
     passes = 0
     counterexample = None
     for t in range(members):
@@ -219,28 +236,15 @@ def iso_stacked_rank_check(
         rb = sample_member(system.B, _dist(seed, 4 * t + 1))
         rc = sample_member(system.C, _dist(seed, 4 * t + 2))
         rd = sample_member(system.D, _dist(seed, 4 * t + 3))
-        base = np.zeros((n + p, n + m), dtype=complex)
-        base[:n, :n] = np.array(ra.to_rows(), dtype=float).reshape(n, n)
-        base[:n, n:] = np.array(rb.to_rows(), dtype=float).reshape(n, m)
-        base[n:, :n] = np.array(rc.to_rows(), dtype=float).reshape(p, n)
-        base[n:, n:] = np.array(rd.to_rows(), dtype=float).reshape(p, m)
-        shift = np.zeros((n + p, n + m), dtype=complex)
-        shift[:n, :n] = np.eye(n)
-        stacked = base[None, :, :] - lambdas[:, None, None] * shift[None, :, :]
-        if rank_needed == 0:
-            passes += 1
-            continue
-        if rank_needed > n + p:
-            if counterexample is None:
-                counterexample = {"trial": t, "reason": "fewer rows than columns"}
-            continue
-        svals = np.linalg.svd(stacked, compute_uv=False)
-        ok = bool(np.all(svals[:, rank_needed - 1] > tol * svals[:, 0]))
-        if ok:
+        base = RealizationMatrix.from_rows(
+            [ra.row(i) + rb.row(i) for i in range(n)]
+            + [rc.row(i) + rd.row(i) for i in range(p)]
+        )
+        bad = _first_deficient_lambda(base, shift, lambdas, n + m, tol)
+        if bad is None:
             passes += 1
         elif counterexample is None:
-            worst = int(np.argmin(svals[:, rank_needed - 1]))
-            counterexample = {"trial": t, "lambda": repr(complex(lambdas[worst]))}
+            counterexample = {"trial": t, "lambda": repr(bad)}
     return OracleResult(
         "iso_sampling", members, passes, counterexample,
         f"{passes}/{members} sampled members kept full column rank",

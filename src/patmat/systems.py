@@ -10,6 +10,7 @@ sufficient condition is never presented as a refutation.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -216,6 +217,16 @@ def check_iso(system: StructuredIOSystem) -> AnalysisReport:
     )
 
 
+def _output_ctrl_blocks(system: StructuredIOSystem):
+    """The blocks D, CB, CAB, CA^2B, ... without end; each product is
+    computed only when its block is asked for."""
+    yield system.D
+    left = system.C
+    while True:
+        yield left @ system.B
+        left = left @ system.A
+
+
 def build_output_ctrl_pattern(
     system: StructuredIOSystem, max_power: int
 ) -> PatternMatrix:
@@ -223,12 +234,7 @@ def build_output_ctrl_pattern(
     n = system.n
     if not 0 <= max_power <= n - 1:
         raise ValueError(f"max_power must be in [0, {n - 1}], got {max_power}")
-    blocks = [system.D]
-    left = system.C
-    for _ in range(max_power + 1):
-        blocks.append(left @ system.B)
-        left = left @ system.A
-    return hstack(blocks)
+    return hstack(itertools.islice(_output_ctrl_blocks(system), max_power + 2))
 
 
 def check_output_controllability(system: StructuredIOSystem) -> AnalysisReport:
@@ -241,12 +247,12 @@ def check_output_controllability(system: StructuredIOSystem) -> AnalysisReport:
     """
     n = system.n
     conditions = []
-    prefix = system.D
-    name = "[D"
-    left = system.C
-    power = 0
-    while True:
-        cond = _condition(name + "]", prefix)
+    blocks = []
+    names = []
+    for k, block in enumerate(itertools.islice(_output_ctrl_blocks(system), n + 1)):
+        blocks.append(block)
+        names.append(("D", "CB", "CAB")[k] if k < 3 else f"CA^{k - 1}B")
+        cond = _condition("[" + " ".join(names) + "]", hstack(blocks))
         conditions.append(cond)
         if cond.passed:
             return AnalysisReport(
@@ -255,21 +261,15 @@ def check_output_controllability(system: StructuredIOSystem) -> AnalysisReport:
                 tuple(conditions),
                 notes="sufficient rank test passed on a column prefix",
             )
-        if power > n - 1:
-            return AnalysisReport(
-                SystemProperty.OUTPUT_CONTROLLABILITY,
-                Verdict.INCONCLUSIVE,
-                tuple(conditions),
-                notes=(
-                    "sufficient rank test failed through power"
-                    f" {n - 1}; no conclusion about the family"
-                ),
-            )
-        block = left @ system.B
-        left = left @ system.A
-        prefix = hstack([prefix, block])
-        name += " CB" if power == 0 else (" CAB" if power == 1 else f" CA^{power}B")
-        power += 1
+    return AnalysisReport(
+        SystemProperty.OUTPUT_CONTROLLABILITY,
+        Verdict.INCONCLUSIVE,
+        tuple(conditions),
+        notes=(
+            "sufficient rank test failed through power"
+            f" {n - 1}; no conclusion about the family"
+        ),
+    )
 
 
 def member_is_regular(e: RealizationMatrix, a: RealizationMatrix) -> bool:

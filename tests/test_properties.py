@@ -109,7 +109,49 @@ def test_refutation_exists_exactly_when_elimination_stalls(pattern):
         assert numeric_rank(witness, 0) < pattern.rows
 
 
+@st.composite
+def product_pairs(draw, max_side=60):
+    """Patterns X (r x k) and Y (k x c) with small-integer members x and y."""
+    r, k, c = (draw(st.integers(1, max_side)) for _ in range(3))
+    weights = draw(st.sampled_from([(1, 1, 1), (6, 3, 1), (8, 1, 1)]))
+    # a seeded Random is much faster here than drawing every entry through
+    # hypothesis, and stays reproducible under derandomize
+    rng = draw(st.randoms(use_true_random=True))
+
+    def pair(rows, cols):
+        symbols = rng.choices(SYMBOLS, weights, k=rows * cols)
+        values = [
+            0 if s is ZERO
+            else rng.choice((-2, -1, 1, 2)) if s is STAR
+            else rng.randint(-2, 2)
+            for s in symbols
+        ]
+        return (
+            PatternMatrix(rows, cols, tuple(symbols)),
+            RealizationMatrix(rows, cols, tuple(values)),
+        )
+
+    return pair(r, k) + pair(k, c)
+
+
 @PROPERTY
 @given(exact_matrices())
 def test_exact_rank_matches_rational_elimination(matrix):
     assert numeric_rank(matrix, 0) == _reference_rank(matrix.to_rows())
+
+
+@PROPERTY
+@given(patterns(), st.randoms(use_true_random=False))
+def test_verdict_does_not_depend_on_pivot_order(pattern, rng):
+    default = full_row_rank(pattern)
+    shuffled = full_row_rank(pattern, choose=rng.choice)
+    assert shuffled.full_rank == default.full_rank
+    if shuffled.full_rank:
+        assert verify_certificate(pattern, shuffled.pivots)
+
+
+@PROPERTY
+@given(product_pairs())
+def test_member_product_lies_in_pattern_product(pair):
+    x_pattern, x, y_pattern, y = pair
+    assert contains(x_pattern @ y_pattern, x @ y, 0)

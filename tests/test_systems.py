@@ -162,6 +162,14 @@ class TestCheckIso:
             assert result.ok, result
             checked += 1
 
+    def test_sampling_catches_a_deficient_member(self):
+        # [[A - lambda I, B], [C, D]] = [[-lambda, 0], [c, d]]: rank 1 at 0
+        system = StructuredIOSystem(P("0"), P("0"), P("*"), P("*"))
+        assert check_iso(system).verdict is Verdict.FAILS
+        result = iso_stacked_rank_check(system, members=5, lam_count=4)
+        assert result.ok is False
+        assert result.counterexample == {"trial": 0, "lambda": repr(0j)}
+
     def test_exact_witness_when_fails(self):
         rng = random.Random(83)
         refuted = 0
