@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 from .errors import TextParseError, VertexRangeError
 from .pattern import PatternMatrix
-from .symbols import QUEST, STAR, ZERO
 from .systems import AnalysisReport, StructuredIOSystem, check_output_controllability
 
 __all__ = [
@@ -78,16 +77,12 @@ def qualitative_pattern(graph: DirectedGraph) -> PatternMatrix:
     """State pattern of the network: entry (i, j) is ? on the diagonal,
     * when the graph has the edge j -> i, and 0 otherwise."""
     n = graph.n
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                entries.append(QUEST)
-            elif (j, i) in graph.edges:
-                entries.append(STAR)
-            else:
-                entries.append(ZERO)
-    return PatternMatrix(n, n, tuple(entries))
+    star = [0] * n
+    for j, i in graph.edges:
+        if i != j:
+            star[i] |= 1 << j
+    nz = [s | 1 << i for i, s in enumerate(star)]
+    return PatternMatrix.from_masks(n, n, nz, star)
 
 
 def selector_pattern(
@@ -98,10 +93,11 @@ def selector_pattern(
     for v in (*row_set, *col_set):
         if not 0 <= v < n:
             raise VertexRangeError(f"vertex {v + 1} outside range 1..{n}")
-    entries = tuple(
-        STAR if r == c else ZERO for r in row_set for c in col_set
-    )
-    return PatternMatrix(len(row_set), len(col_set), entries)
+    positions: dict[int, int] = {}
+    for k, c in enumerate(col_set):
+        positions[c] = positions.get(c, 0) | 1 << k
+    masks = [positions.get(r, 0) for r in row_set]
+    return PatternMatrix.from_masks(len(row_set), len(col_set), masks, masks)
 
 
 def check_target_controllability(problem: NetworkProblem) -> AnalysisReport:

@@ -5,15 +5,20 @@ nonzero, or arbitrary.  The set of real matrices consistent with a pattern
 is its pattern class.  Addition and multiplication of pattern matrices
 (entrywise / semiring product) over-approximate the corresponding
 operations on pattern-class members.
+
+Each row is stored as two Python-int bit masks: bit j of `nz[i]` is set
+when entry (i, j) is not 0, and bit j of `star[i]` when it is *.  A ?
+entry is a bit of nz that is clear in star, so star is always a subset of
+nz.  All algebra runs on the masks; the Symbol tuple `entries` is derived
+from them on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, TextParseError
-from .symbols import QUEST, STAR, ZERO, Symbol, add_symbol, mul_symbol
+from .symbols import QUEST, STAR, ZERO, Symbol
 
 __all__ = [
     "PatternMatrix",
@@ -23,31 +28,101 @@ __all__ = [
     "parse_pattern_text",
 ]
 
+_TOKENS = frozenset("0*?")
+_NZ_BITS = str.maketrans("0*?", "011")
+_STAR_BITS = str.maketrans("0*?", "010")
 
-@dataclass(frozen=True)
+
+def _masks(words: Iterable[str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row masks (nz, star) of rows given as their tokens joined without
+    spaces."""
+    nz, star = [], []
+    for word in words:
+        word = word[::-1]  # the last column is the most significant bit
+        nz.append(int(word.translate(_NZ_BITS) or "0", 2))
+        star.append(int(word.translate(_STAR_BITS) or "0", 2))
+    return tuple(nz), tuple(star)
+
+
+def _token(e: Symbol | str) -> str:
+    return (e if isinstance(e, Symbol) else Symbol.from_token(e))._value_
+
+
+def ones(mask: int) -> list[int]:
+    """Positions of the set bits of a nonnegative mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class PatternMatrix:
-    """Immutable dense matrix of Symbols, stored row-major.
+    """Immutable dense matrix of Symbols, stored as row bit masks.
 
-    Zero-sized dimensions are permitted; they arise as degenerate block
-    components (for example a system with no states or no inputs).
+    `PatternMatrix(rows, cols, entries)` takes the Symbols row-major;
+    `from_masks` takes the masks.  Zero-sized dimensions are permitted; they
+    arise as degenerate block components (for example a system with no
+    states or no inputs).
     """
 
-    rows: int
-    cols: int
-    entries: tuple[Symbol, ...]
+    __slots__ = ("rows", "cols", "nz", "star", "_entries", "_columns")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise DimensionError(f"negative shape {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: Sequence[Symbol]):
+        entries = tuple(entries)
+        if rows < 0 or cols < 0:
+            raise DimensionError(f"negative shape {rows}x{cols}")
+        if len(entries) != rows * cols:
             raise DimensionError(
-                f"{self.rows}x{self.cols} pattern needs {self.rows * self.cols}"
-                f" entries, got {len(self.entries)}"
+                f"{rows}x{cols} pattern needs {rows * cols}"
+                f" entries, got {len(entries)}"
             )
-        if not all(isinstance(e, Symbol) for e in self.entries):
+        if not all(isinstance(e, Symbol) for e in entries):
             raise TypeError("pattern entries must be Symbols")
+        word = "".join([e._value_ for e in entries])
+        rows_words = (word[i * cols : (i + 1) * cols] for i in range(rows))
+        self._set(rows, cols, *_masks(rows_words))
+        object.__setattr__(self, "_entries", entries)
+
+    def _set(self, rows, cols, nz, star) -> None:
+        setter = object.__setattr__
+        setter(self, "rows", rows)
+        setter(self, "cols", cols)
+        setter(self, "nz", nz)
+        setter(self, "star", star)
+        setter(self, "_entries", None)
+        setter(self, "_columns", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PatternMatrix is immutable")
+
+    def __reduce__(self):
+        return (PatternMatrix.from_masks, (self.rows, self.cols, self.nz, self.star))
 
     # -- construction ------------------------------------------------
+
+    @classmethod
+    def from_masks(
+        cls, rows: int, cols: int, nz: Sequence[int], star: Sequence[int]
+    ) -> "PatternMatrix":
+        """Build from one (nz, star) mask pair per row; bit j is column j."""
+        nz, star = tuple(nz), tuple(star)
+        if rows < 0 or cols < 0:
+            raise DimensionError(f"negative shape {rows}x{cols}")
+        if len(nz) != rows or len(star) != rows:
+            raise DimensionError(
+                f"{rows}x{cols} pattern needs {rows} row masks,"
+                f" got {len(nz)} and {len(star)}"
+            )
+        for n, s in zip(nz, star):
+            if n < 0 or n >> cols:
+                raise DimensionError(f"row mask {n:#x} outside {cols} columns")
+            if s & ~n:
+                raise ValueError("star mask must be a subset of the nonzero mask")
+        self = cls.__new__(cls)
+        self._set(rows, cols, nz, star)
+        return self
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Symbol | str]]) -> "PatternMatrix":
@@ -57,12 +132,9 @@ class PatternMatrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise DimensionError("ragged rows")
-        entries = tuple(
-            e if isinstance(e, Symbol) else Symbol.from_token(e)
-            for r in rows
-            for e in r
+        return cls.from_masks(
+            nrows, ncols, *_masks("".join([_token(e) for e in r]) for r in rows)
         )
-        return cls(nrows, ncols, entries)
 
     @classmethod
     def from_text(cls, text: str) -> "PatternMatrix":
@@ -71,19 +143,37 @@ class PatternMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "PatternMatrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
+        return cls.from_masks(rows, cols, (0,) * rows, (0,) * rows)
 
     @classmethod
     def filled(cls, rows: int, cols: int, symbol: Symbol) -> "PatternMatrix":
-        return cls(rows, cols, (symbol,) * (rows * cols))
+        full = (1 << cols) - 1
+        nz = 0 if symbol is ZERO else full
+        star = full if symbol is STAR else 0
+        return cls.from_masks(rows, cols, (nz,) * rows, (star,) * rows)
 
     # -- access ------------------------------------------------------
+
+    @property
+    def entries(self) -> tuple[Symbol, ...]:
+        """The Symbols row-major, derived from the masks on first use."""
+        if self._entries is None:
+            out = []
+            for n, s in zip(self.nz, self.star):
+                for j in range(self.cols):
+                    out.append(
+                        ZERO if not n >> j & 1 else STAR if s >> j & 1 else QUEST
+                    )
+            object.__setattr__(self, "_entries", tuple(out))
+        return self._entries
 
     def __getitem__(self, index: tuple[int, int]) -> Symbol:
         i, j = index
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) out of range for {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
+        if not self.nz[i] >> j & 1:
+            return ZERO
+        return STAR if self.star[i] >> j & 1 else QUEST
 
     def row(self, i: int) -> tuple[Symbol, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
@@ -98,6 +188,42 @@ class PatternMatrix:
     def to_rows(self) -> list[list[Symbol]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def column_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(nz, star) masks of the columns, bit i being row i; computed
+        once per matrix."""
+        if self._columns is None:
+            cnz = [0] * self.cols
+            cstar = [0] * self.cols
+            for i, (n, s) in enumerate(zip(self.nz, self.star)):
+                bit = 1 << i
+                for j in ones(n):
+                    cnz[j] |= bit
+                for j in ones(s):
+                    cstar[j] |= bit
+            object.__setattr__(self, "_columns", (tuple(cnz), tuple(cstar)))
+        return self._columns
+
+    # -- value semantics ---------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PatternMatrix):
+            return NotImplemented
+        return (
+            self.rows == other.rows
+            and self.cols == other.cols
+            and self.nz == other.nz
+            and self.star == other.star
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.nz, self.star))
+
+    def __repr__(self) -> str:
+        return (
+            f"PatternMatrix(rows={self.rows}, cols={self.cols},"
+            f" entries={self.entries!r})"
+        )
+
     # -- algebra -----------------------------------------------------
 
     def __add__(self, other: "PatternMatrix") -> "PatternMatrix":
@@ -107,10 +233,14 @@ class PatternMatrix:
             raise DimensionError(
                 f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
             )
-        entries = tuple(
-            add_symbol(a, b) for a, b in zip(self.entries, other.entries)
-        )
-        return PatternMatrix(self.rows, self.cols, entries)
+        # zero is the identity; two nonzeros give ?, so a * survives only
+        # where the other summand is 0
+        nz = [a | b for a, b in zip(self.nz, other.nz)]
+        star = [
+            (sa & ~nb) | (sb & ~na)
+            for na, sa, nb, sb in zip(self.nz, self.star, other.nz, other.star)
+        ]
+        return PatternMatrix.from_masks(self.rows, self.cols, nz, star)
 
     def __matmul__(self, other: "PatternMatrix") -> "PatternMatrix":
         if not isinstance(other, PatternMatrix):
@@ -120,25 +250,29 @@ class PatternMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by"
                 f" {other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    acc = add_symbol(acc, mul_symbol(ri[k], other[k, j]))
-                    if acc is QUEST:
-                        break  # absorbing for addition
-                out.append(acc)
-        return PatternMatrix(self.rows, other.cols, tuple(out))
+        # entry (i, j) is 0 when no k has both factors nonzero, * when
+        # exactly one k does and both of its factors are *, ? otherwise
+        cnz, cstar = other.column_masks()
+        columns = [(1 << j, cnz[j], cstar[j]) for j in range(other.cols)]
+        nz_out, star_out = [], []
+        for n, s in zip(self.nz, self.star):
+            rn = rs = 0
+            if n:
+                for bit, cn, cs in columns:
+                    t = n & cn
+                    if t:
+                        rn |= bit
+                        if t & (t - 1) == 0 and t & s & cs:
+                            rs |= bit
+            nz_out.append(rn)
+            star_out.append(rs)
+        return PatternMatrix.from_masks(self.rows, other.cols, nz_out, star_out)
 
     def transpose(self) -> "PatternMatrix":
-        entries = tuple(
-            self.entries[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return PatternMatrix(self.cols, self.rows, entries)
+        cnz, cstar = self.column_masks()
+        out = PatternMatrix.from_masks(self.cols, self.rows, cnz, cstar)
+        object.__setattr__(out, "_columns", (self.nz, self.star))
+        return out
 
     # -- text format -------------------------------------------------
 
@@ -153,10 +287,8 @@ def identity_pattern(n: int) -> PatternMatrix:
     """n x n pattern with * on the diagonal and 0 elsewhere."""
     if n < 0:
         raise DimensionError(f"negative size {n}")
-    entries = tuple(
-        STAR if i == j else ZERO for i in range(n) for j in range(n)
-    )
-    return PatternMatrix(n, n, entries)
+    diagonal = [1 << i for i in range(n)]
+    return PatternMatrix.from_masks(n, n, diagonal, diagonal)
 
 
 def hstack(blocks: Iterable[PatternMatrix]) -> PatternMatrix:
@@ -168,11 +300,15 @@ def hstack(blocks: Iterable[PatternMatrix]) -> PatternMatrix:
     if any(b.rows != rows for b in blocks):
         shapes = ", ".join(f"{b.rows}x{b.cols}" for b in blocks)
         raise DimensionError(f"hstack row counts differ: {shapes}")
-    entries = []
-    for i in range(rows):
-        for b in blocks:
-            entries.extend(b.row(i))
-    return PatternMatrix(rows, sum(b.cols for b in blocks), tuple(entries))
+    nz = [0] * rows
+    star = [0] * rows
+    shift = 0
+    for b in blocks:
+        for i in range(rows):
+            nz[i] |= b.nz[i] << shift
+            star[i] |= b.star[i] << shift
+        shift += b.cols
+    return PatternMatrix.from_masks(rows, shift, nz, star)
 
 
 def vstack(blocks: Iterable[PatternMatrix]) -> PatternMatrix:
@@ -184,10 +320,12 @@ def vstack(blocks: Iterable[PatternMatrix]) -> PatternMatrix:
     if any(b.cols != cols for b in blocks):
         shapes = ", ".join(f"{b.rows}x{b.cols}" for b in blocks)
         raise DimensionError(f"vstack column counts differ: {shapes}")
-    entries = []
-    for b in blocks:
-        entries.extend(b.entries)
-    return PatternMatrix(sum(b.rows for b in blocks), cols, tuple(entries))
+    return PatternMatrix.from_masks(
+        sum(b.rows for b in blocks),
+        cols,
+        [n for b in blocks for n in b.nz],
+        [s for b in blocks for s in b.star],
+    )
 
 
 def parse_pattern_text(text: str) -> PatternMatrix:
@@ -196,23 +334,23 @@ def parse_pattern_text(text: str) -> PatternMatrix:
     One row per line, entries are the tokens 0, * and ? separated by
     whitespace.  Blank lines and text after # are ignored.
     """
-    rows: list[list[Symbol]] = []
+    words: list[str] = []
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            row = [Symbol.from_token(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise TextParseError(str(exc), lineno) from None
+        tokens = line.split()
+        if not _TOKENS.issuperset(tokens):
+            bad = next(tok for tok in tokens if tok not in _TOKENS)
+            raise TextParseError(f"not a pattern symbol: {bad!r}", lineno)
         if width is None:
-            width = len(row)
-        elif len(row) != width:
+            width = len(tokens)
+        elif len(tokens) != width:
             raise TextParseError(
-                f"row has {len(row)} entries, expected {width}", lineno
+                f"row has {len(tokens)} entries, expected {width}", lineno
             )
-        rows.append(row)
-    if not rows:
+        words.append("".join(tokens))
+    if not words:
         raise TextParseError("no pattern rows found")
-    return PatternMatrix.from_rows(rows)
+    return PatternMatrix.from_masks(len(words), width, *_masks(words))

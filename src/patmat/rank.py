@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import DimensionError
-from .pattern import PatternMatrix
+from .pattern import PatternMatrix, ones
 from .realization import RealizationMatrix, contains
-from .symbols import QUEST, STAR, ZERO
+from .symbols import STAR, ZERO
 
 __all__ = [
     "StallReport",
@@ -77,53 +77,79 @@ class RankVerdict:
 
 def _eliminate(
     pattern: PatternMatrix,
-    choose: Callable[[list[tuple[int, int]]], tuple[int, int]],
+    choose: Optional[Callable[[list[tuple[int, int]]], tuple[int, int]]] = None,
 ):
     """Run the elimination; returns (pivots, surviving (rows, cols) or None).
 
-    `choose` picks one of the eligible (col, row) pairs at each step; the
-    final verdict does not depend on the choice, only the pivot order does.
+    A column is eligible when exactly one remaining row is nonzero in it and
+    that entry is *.  Each column keeps the count of its remaining nonzeros
+    and the sum of their row indices, so the lone row of a column whose
+    count is 1 is that sum; deleting a pivot row updates only the columns
+    the row meets.  The eligible columns are the set bits of one mask.
+    Without `choose` the lowest eligible column is taken; `choose` instead
+    picks one of the eligible (col, row) pairs, listed in column order, at
+    each step.  The final verdict does not depend on the choice, only the
+    pivot order does.
     """
-    active_rows = list(range(pattern.rows))
-    active_cols = list(range(pattern.cols))
+    nz, star = pattern.nz, pattern.star
+    count = [0] * pattern.cols
+    total = [0] * pattern.cols
+    for i, row in enumerate(nz):
+        for j in ones(row):
+            count[j] += 1
+            total[j] += i
+    eligible = 0
+    for j in range(pattern.cols):
+        if count[j] == 1 and star[total[j]] >> j & 1:
+            eligible |= 1 << j
+    rows_left = (1 << pattern.rows) - 1
+    cols_left = (1 << pattern.cols) - 1
     pivots: list[tuple[int, int]] = []
-    while active_rows:
-        eligible: list[tuple[int, int]] = []
-        for j in active_cols:
-            nonzero_row = -1
-            count = 0
-            for i in active_rows:
-                if pattern[i, j] is not ZERO:
-                    count += 1
-                    if count > 1:
-                        break
-                    nonzero_row = i
-            if count == 1 and pattern[nonzero_row, j] is STAR:
-                eligible.append((j, nonzero_row))
+    while rows_left:
         if not eligible:
-            return pivots, (tuple(active_rows), tuple(active_cols))
-        col, row = choose(eligible)
+            return pivots, (tuple(ones(rows_left)), tuple(ones(cols_left)))
+        if choose is None:
+            col = (eligible & -eligible).bit_length() - 1
+            row = total[col]
+        else:
+            col, row = choose([(j, total[j]) for j in ones(eligible)])
         pivots.append((row, col))
-        active_rows.remove(row)
-        active_cols.remove(col)
+        rows_left ^= 1 << row
+        cols_left ^= 1 << col
+        # every eligible column the pivot row meets had it as its lone
+        # nonzero, the pivot column among them; they are now empty for good
+        eligible &= ~nz[row]
+        for j in ones(nz[row]):
+            count[j] -= 1
+            total[j] -= row
+            if count[j] == 1 and star[total[j]] >> j & 1:
+                eligible |= 1 << j
     return pivots, None
 
 
-def _first(eligible: list[tuple[int, int]]) -> tuple[int, int]:
-    # lowest eligible column; the row is determined by the column
-    return eligible[0]
-
-
 def _residual(pattern: PatternMatrix, rows, cols) -> PatternMatrix:
-    entries = tuple(pattern[i, j] for i in rows for j in cols)
-    return PatternMatrix(len(rows), len(cols), entries)
+    nz, star = [], []
+    for i in rows:
+        n, s = pattern.nz[i], pattern.star[i]
+        rn = rs = 0
+        for k, j in enumerate(cols):
+            if n >> j & 1:
+                rn |= 1 << k
+                if s >> j & 1:
+                    rs |= 1 << k
+        nz.append(rn)
+        star.append(rs)
+    return PatternMatrix.from_masks(len(rows), len(cols), nz, star)
 
 
 def full_row_rank(
     pattern: PatternMatrix,
-    choose: Callable[[list[tuple[int, int]]], tuple[int, int]] = _first,
+    choose: Optional[Callable[[list[tuple[int, int]]], tuple[int, int]]] = None,
 ) -> RankVerdict:
-    """Decide whether every member of the pattern class has full row rank."""
+    """Decide whether every member of the pattern class has full row rank.
+
+    Without `choose` the lowest eligible column is pivoted at each step;
+    `choose` may pick any of the eligible (col, row) pairs instead."""
     if pattern.rows > pattern.cols:
         return RankVerdict(False, stall=StallReport("more rows than columns"))
     pivots, stall = _eliminate(pattern, choose)
@@ -168,17 +194,17 @@ def verify_certificate(
     and that entry must be *; all rows must be consumed."""
     if len(pivots) != pattern.rows:
         return False
-    active_rows = set(range(pattern.rows))
-    active_cols = set(range(pattern.cols))
+    cnz, _ = pattern.column_masks()
+    active_rows = (1 << pattern.rows) - 1
+    active_cols = (1 << pattern.cols) - 1
     for i, j in pivots:
-        if i not in active_rows or j not in active_cols:
+        if i < 0 or j < 0 or not (active_rows >> i & 1 and active_cols >> j & 1):
             return False
-        if pattern[i, j] is not STAR:
+        # a * at (i, j) and no other nonzero among the active rows
+        if not pattern.star[i] >> j & 1 or cnz[j] & active_rows != 1 << i:
             return False
-        if any(pattern[r, j] is not ZERO for r in active_rows if r != i):
-            return False
-        active_rows.remove(i)
-        active_cols.remove(j)
+        active_rows ^= 1 << i
+        active_cols ^= 1 << j
     return True
 
 
@@ -196,9 +222,7 @@ def strongly_nonsingular_square(pattern: PatternMatrix) -> bool:
     n = pattern.rows
     if n == 0:
         return True
-    adj = [
-        [j for j in range(n) if pattern[i, j] is not ZERO] for i in range(n)
-    ]
+    adj = [ones(mask) for mask in pattern.nz]
 
     match_col = [-1] * n  # column -> matched row
 
@@ -230,7 +254,7 @@ def strongly_nonsingular_square(pattern: PatternMatrix) -> bool:
         if not augment(r):
             return False  # no perfect matching at all
 
-    if any(pattern[match_col[c], c] is not STAR for c in range(n)):
+    if any(not pattern.star[match_col[c]] >> c & 1 for c in range(n)):
         return False
 
     # uniqueness: the matching is unique iff there is no alternating cycle;
@@ -384,22 +408,26 @@ def refute_full_rank(pattern: PatternMatrix) -> Optional[RealizationMatrix]:
     their rows, the last one balancing the rest.  Rows outside R take 1 on *
     and 0 on ?.  The member is re-verified in exact arithmetic.
     """
-    _, stall = _eliminate(pattern, _first)
+    _, stall = _eliminate(pattern)
     if stall is None:
         return None
     stalled = stall[0]
     rows, cols = pattern.rows, pattern.cols
     sign = {r: (-1) ** k for k, r in enumerate(stalled)}
-    entries = [
-        1 if s is STAR and i // cols not in sign else 0
-        for i, s in enumerate(pattern.entries)
-    ]
+    entries = [0] * (rows * cols)
+    for i, mask in enumerate(pattern.star):
+        if i not in sign:
+            for j in ones(mask):
+                entries[i * cols + j] = 1
+    cnz, cstar = pattern.column_masks()
+    on_stall = sum(1 << r for r in stalled)
     for j in range(cols):
-        stars = [r for r in stalled if pattern[r, j] is STAR]
+        stars = ones(cstar[j] & on_stall)
         if len(stars) == 1:
             # a lone * would have been a pivot, so a ? shares the column
             s = stars[0]
-            q = next(r for r in stalled if pattern[r, j] is QUEST)
+            quests = cnz[j] & ~cstar[j] & on_stall
+            q = (quests & -quests).bit_length() - 1
             entries[s * cols + j] = 1
             entries[q * cols + j] = -sign[s] * sign[q]
         elif stars:

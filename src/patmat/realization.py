@@ -7,6 +7,7 @@ float and complex entries appear only in numeric oracle paths.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,13 +110,12 @@ class RealizationMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by"
                 f" {other.rows}x{other.cols}"
             )
+        columns = [other.entries[j :: other.cols] for j in range(other.cols)]
         out = []
         for i in range(self.rows):
             ri = self.row(i)
-            for j in range(other.cols):
-                out.append(
-                    sum(ri[k] * other[k, j] for k in range(self.cols))
-                )
+            for cj in columns:
+                out.append(sum(map(operator.mul, ri, cj)))
         return RealizationMatrix(self.rows, other.cols, tuple(out))
 
     def scaled(self, factor) -> "RealizationMatrix":

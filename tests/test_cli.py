@@ -4,13 +4,14 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from patmat import VertexRangeError
+from patmat import TextParseError, VertexRangeError, parse_pattern_text
 from patmat.cli import _parse_vertex_list, run
 
-from helpers import fig1_graph_text
+from helpers import DATA_DIR, fig1_graph_text
 
 
 @pytest.fixture
@@ -234,6 +235,45 @@ class TestImportPath:
             [sys.executable, "-c", code], capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr
+
+
+class TestGoldenJson:
+    """JSON reports pinned byte for byte, modulo timing_seconds; the input
+    paths are compared by file name."""
+
+    CASES = {
+        "rank": ["rank", "stall.pat"],
+        "ssc": ["ssc", "ssc_a.pat", "ssc_b.pat"],
+        "mul": ["mul", "mul_left.pat", "mul_right.pat"],
+        "target": ["target", "fig1.graph", "--leaders", "1,2", "--targets", "1-7"],
+    }
+    EXIT = {"rank": 1, "ssc": 0, "mul": 0, "target": 0}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_report_matches_golden(self, name, tmp_path, capsys):
+        argv = [
+            str(DATA_DIR / a) if a.endswith((".pat", ".graph")) else a
+            for a in self.CASES[name]
+        ]
+        report = tmp_path / "report.json"
+        assert run(argv + ["--json", str(report)]) == self.EXIT[name]
+        payload = json.loads(report.read_text())
+        assert isinstance(payload.pop("timing_seconds"), float)
+        payload["inputs"] = {
+            k: Path(v).name if v.endswith((".pat", ".graph")) else v
+            for k, v in payload["inputs"].items()
+        }
+        golden = json.loads((DATA_DIR / "golden" / f"{name}.json").read_text())
+        assert payload == golden
+
+    def test_bad_token_message_and_line(self, write, capsys):
+        text = "* 0\n\n# c\n* x ?\n"
+        with pytest.raises(TextParseError) as info:
+            parse_pattern_text(text)
+        assert str(info.value) == "line 4: not a pattern symbol: 'x'"
+        assert info.value.line_number == 4
+        assert run(["rank", write("bad.pat", text)]) == 3
+        assert capsys.readouterr().err == "error: line 4: not a pattern symbol: 'x'\n"
 
 
 class TestUsageErrors:

@@ -235,6 +235,22 @@ class TestTargetControllability:
         )
         assert report.verdict is Verdict.INCONCLUSIVE
 
+    def test_long_path_holds_at_the_farthest_target(self):
+        # on the path 1 -> 2 -> ... -> n with ? loops, C A^k B has a lone *
+        # exactly in the row of target k + 1, so the test first holds at
+        # the power of the farthest target, after n + 1 conditions
+        n = 300
+        graph = DirectedGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        targets = (0, n // 2, n - 1)
+        report = check_target_controllability(NetworkProblem(graph, (0,), targets))
+        assert report.verdict is Verdict.HOLDS
+        assert len(report.conditions) == n + 1
+        last = report.conditions[-1]
+        assert last.name == f"[D CB CAB {' '.join(f'CA^{k}B' for k in range(2, n))}]"
+        assert [(row, col) for row, col in last.verdict.pivots] == [
+            (0, 1), (1, n // 2 + 1), (2, n)
+        ]
+
 
 class TestScalingReduction:
     def test_binary_and_starred_selector_ranks_agree(self):

@@ -14,11 +14,14 @@ from patmat import (
     RealizationMatrix,
     contains,
     full_row_rank,
+    hstack,
     numeric_rank,
+    parse_pattern_text,
     refute_full_rank,
     verify_certificate,
+    vstack,
 )
-from patmat.symbols import QUEST, STAR, ZERO
+from patmat.symbols import QUEST, STAR, ZERO, add_symbol, mul_symbol
 
 SYMBOLS = (ZERO, STAR, QUEST)
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -155,3 +158,123 @@ def test_verdict_does_not_depend_on_pivot_order(pattern, rng):
 def test_member_product_lies_in_pattern_product(pair):
     x_pattern, x, y_pattern, y = pair
     assert contains(x_pattern @ y_pattern, x @ y, 0)
+
+
+# ---------------------------------------------------------------------------
+# the bit-mask core against symbol-by-symbol references
+#
+# The references below are the entrywise Symbol-table algebra and the
+# column-scanning elimination that the mask implementation replaced.  They
+# read only `entries`, which for these patterns is the tuple passed in.
+
+
+def _ref_add(a, b):
+    return tuple(add_symbol(x, y) for x, y in zip(a.entries, b.entries))
+
+
+def _ref_matmul(a, b):
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = ZERO
+            for k in range(a.cols):
+                acc = add_symbol(
+                    acc, mul_symbol(a.entries[i * a.cols + k], b.entries[k * b.cols + j])
+                )
+                if acc is QUEST:
+                    break  # absorbing for addition
+            out.append(acc)
+    return tuple(out)
+
+
+def _ref_transpose(a):
+    return tuple(a.entries[i * a.cols + j] for j in range(a.cols) for i in range(a.rows))
+
+
+def _ref_hstack(blocks):
+    return tuple(
+        s for i in range(blocks[0].rows) for b in blocks
+        for s in b.entries[i * b.cols : (i + 1) * b.cols]
+    )
+
+
+def _ref_eliminate(pattern, offered):
+    """Lowest eligible column first, rescanning every active column at
+    every step; appends each step's eligible (col, row) list to `offered`."""
+    e, cols = pattern.entries, pattern.cols
+    active_rows = list(range(pattern.rows))
+    active_cols = list(range(cols))
+    pivots = []
+    while active_rows:
+        eligible = []
+        for j in active_cols:
+            nonzero = [i for i in active_rows if e[i * cols + j] is not ZERO]
+            if len(nonzero) == 1 and e[nonzero[0] * cols + j] is STAR:
+                eligible.append((j, nonzero[0]))
+        if not eligible:
+            return pivots, (tuple(active_rows), tuple(active_cols))
+        offered.append(eligible)
+        col, row = eligible[0]
+        pivots.append((row, col))
+        active_rows.remove(row)
+        active_cols.remove(col)
+    return pivots, None
+
+
+def _grid(rng, rows, cols, weights):
+    return PatternMatrix(rows, cols, tuple(rng.choices(SYMBOLS, weights, k=rows * cols)))
+
+
+WEIGHTS = st.sampled_from([(1, 1, 1), (6, 3, 1), (8, 1, 1), (20, 2, 1), (3, 1, 6)])
+
+
+@st.composite
+def shaped_triples(draw):
+    """Three sides r, k, c (up to 60, 80, 80) and a symbol mix."""
+    r = draw(st.integers(0, 60))
+    k = draw(st.integers(0, 80))
+    c = draw(st.integers(0, 80))
+    # a seeded Random, as in product_pairs, keeps large grids cheap to draw
+    return r, k, c, draw(WEIGHTS), draw(st.randoms(use_true_random=True))
+
+
+@PROPERTY
+@given(shaped_triples())
+def test_mask_algebra_matches_symbol_tables(triple):
+    r, k, c, weights, rng = triple
+    a, b = _grid(rng, r, k, weights), _grid(rng, r, k, weights)
+    y = _grid(rng, k, c, weights)
+    assert (a + b).entries == _ref_add(a, b)
+    assert a + b == PatternMatrix(r, k, _ref_add(a, b))
+    assert (a @ y).entries == _ref_matmul(a, y)
+    assert a @ y == PatternMatrix(r, c, _ref_matmul(a, y))
+    assert a.transpose() == PatternMatrix(k, r, _ref_transpose(a))
+    z = _grid(rng, r, c, weights)
+    assert hstack([a, z, b]) == PatternMatrix(r, 2 * k + c, _ref_hstack([a, z, b]))
+    w = _grid(rng, c, k, weights)
+    assert vstack([a, w]) == PatternMatrix(r + c, k, a.entries + w.entries)
+    if r and k:
+        assert parse_pattern_text(a.to_text()) == a
+
+
+@PROPERTY
+@given(patterns(max_rows=60, max_cols=80))
+def test_elimination_matches_reference(pattern):
+    verdict = full_row_rank(pattern)
+    if pattern.rows > pattern.cols:
+        return
+    expected_offers = []
+    pivots, stall = _ref_eliminate(pattern, expected_offers)
+    assert verdict.pivots == tuple(pivots)
+    # a custom choose sees the same eligible lists, in column order
+    offers = []
+    chosen = full_row_rank(pattern, choose=lambda el: (offers.append(el), el[0])[1])
+    assert offers == expected_offers
+    assert chosen == verdict
+    if stall is None:
+        assert verdict.full_rank
+    else:
+        assert (verdict.stall.rows, verdict.stall.cols) == stall
+        rows, cols = stall
+        residual = tuple(pattern.entries[i * pattern.cols + j] for i in rows for j in cols)
+        assert verdict.stall.residual.entries == residual

@@ -18,6 +18,7 @@ from patmat import (
     hstack,
     identity_pattern,
     numeric_rank,
+    parse_pattern_text,
     pencil_full_rank,
     refute_full_rank,
     sample_member,
@@ -77,6 +78,19 @@ class TestFullRowRank:
 
     def test_quest_pivot_is_never_eligible(self):
         assert not full_row_rank(P("? 0\n0 *")).full_rank
+
+    def test_long_lower_bidiagonal(self):
+        # row i is * in columns i-1 and i: only the last column starts out
+        # eligible, and each pivot frees the column to its left
+        n = 1200
+        text = "\n".join(
+            " ".join("*" if j in (i - 1, i) else "0" for j in range(n)) for i in range(n)
+        )
+        pattern = parse_pattern_text(text)
+        verdict = full_row_rank(pattern)
+        assert verdict.full_rank
+        assert verdict.pivots == tuple((i, i) for i in reversed(range(n)))
+        assert verify_certificate(pattern, verdict.pivots)
 
 
 class TestFullColumnRank:

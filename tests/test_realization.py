@@ -194,6 +194,33 @@ class TestRealizationOps:
         assert a.scaled(2) == R([[2, 4], [6, 8]])
         assert a.transpose() == R([[1, 3], [2, 4]])
 
+    def test_product_matches_triple_loop(self):
+        rng = random.Random(61)
+        scalars = {
+            "int": lambda: rng.randint(-5, 5),
+            "fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+            "complex": lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+        }
+        for kind, scalar in scalars.items():
+            for rows, inner, cols in [(0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1)] + [
+                (rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12))
+                for _ in range(20)
+            ]:
+                a = [[scalar() for _ in range(inner)] for _ in range(rows)]
+                b = [[scalar() for _ in range(cols)] for _ in range(inner)]
+                expected = []
+                for i in range(rows):
+                    for j in range(cols):
+                        acc = 0
+                        for k in range(inner):
+                            acc = acc + a[i][k] * b[k][j]
+                        expected.append(acc)
+                product = RealizationMatrix(rows, inner, tuple(x for r in a for x in r)) @ (
+                    RealizationMatrix(inner, cols, tuple(x for r in b for x in r))
+                )
+                assert product.shape == (rows, cols), kind
+                assert product.entries == tuple(expected), kind
+
     def test_block(self):
         a = R([[1, 2, 3], [4, 5, 6]])
         assert a.block(0, 2, 1, 3) == R([[2, 3], [5, 6]])
