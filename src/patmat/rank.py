@@ -7,6 +7,11 @@ remaining rows is a *, and delete that row and column.  Eliminating every
 row certifies the property: the single-* column forces the corresponding
 coordinate of any left null vector to vanish, row by row.
 
+The elimination state can be resumed: after appending columns to the
+right, continuing from where it stalled takes exactly the pivots of a
+fresh run on the wider pattern, so the output-controllability test runs one
+elimination through all of its growing prefixes.
+
 On success the verdict carries the pivot sequence, which can be replayed
 against the pattern by verify_certificate.  On failure it carries the
 stalled residual, and refute_full_rank turns the stalled rows into an
@@ -74,101 +79,147 @@ class RankVerdict:
 # ---------------------------------------------------------------------------
 # pivot elimination
 
+# picks the next pivot from the eligible (col, row) pairs, in column order
+_Choose = Optional[Callable[[list[tuple[int, int]]], tuple[int, int]]]
 
-def _eliminate(
-    pattern: PatternMatrix,
-    choose: Optional[Callable[[list[tuple[int, int]]], tuple[int, int]]] = None,
-):
-    """Run the elimination; returns (pivots, surviving (rows, cols) or None).
+
+class _Elimination:
+    """Pivot elimination over a pattern whose columns arrive in blocks.
 
     A column is eligible when exactly one remaining row is nonzero in it and
     that entry is *.  Each column keeps the count of its remaining nonzeros
     and the sum of their row indices, so the lone row of a column whose
     count is 1 is that sum; deleting a pivot row updates only the columns
     the row meets.  The eligible columns are the set bits of one mask.
-    Without `choose` the lowest eligible column is taken; `choose` instead
-    picks one of the eligible (col, row) pairs, listed in column order, at
-    each step.  The final verdict does not depend on the choice, only the
-    pivot order does.
+
+    extend() appends a block of columns, counted over the remaining rows
+    only, and run() continues from where the last run stopped.  Appended
+    columns lie to the right of every earlier column, and a column's
+    eligibility depends only on the remaining rows, so the default run on
+    the blocks so far takes exactly the pivots of a fresh run on their
+    composite.
     """
-    nz, star = pattern.nz, pattern.star
-    count = [0] * pattern.cols
-    total = [0] * pattern.cols
-    for i, row in enumerate(nz):
-        for j in ones(row):
-            count[j] += 1
-            total[j] += i
-    eligible = 0
-    for j in range(pattern.cols):
-        if count[j] == 1 and star[total[j]] >> j & 1:
-            eligible |= 1 << j
-    rows_left = (1 << pattern.rows) - 1
-    cols_left = (1 << pattern.cols) - 1
-    pivots: list[tuple[int, int]] = []
-    while rows_left:
-        if not eligible:
-            return pivots, (tuple(ones(rows_left)), tuple(ones(cols_left)))
-        if choose is None:
-            col = (eligible & -eligible).bit_length() - 1
-            row = total[col]
+
+    __slots__ = (
+        "rows", "cols", "nz", "star", "count", "total", "eligible", "rows_left",
+        "pivots",
+    )
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        self.cols = 0
+        self.nz = self.star = (0,) * rows
+        self.count: list[int] = []
+        self.total: list[int] = []
+        self.eligible = 0
+        self.rows_left = (1 << rows) - 1
+        self.pivots: list[tuple[int, int]] = []
+
+    def extend(self, block: PatternMatrix) -> None:
+        """Append the columns of a block with the same row count."""
+        nz, star, width = block.nz, block.star, block.cols
+        shift = self.cols
+        if shift:
+            rows = ones(self.rows_left)
+            self.nz = [a | b << shift for a, b in zip(self.nz, nz)]
+            self.star = [a | b << shift for a, b in zip(self.star, star)]
         else:
-            col, row = choose([(j, total[j]) for j in ones(eligible)])
-        pivots.append((row, col))
-        rows_left ^= 1 << row
-        cols_left ^= 1 << col
-        # every eligible column the pivot row meets had it as its lone
-        # nonzero, the pivot column among them; they are now empty for good
-        eligible &= ~nz[row]
-        for j in ones(nz[row]):
-            count[j] -= 1
-            total[j] -= row
+            # no column yet, so no pivot either: every row remains, and the
+            # block's masks are taken over as they are
+            rows = range(self.rows)
+            self.nz, self.star = nz, star
+        count = [0] * width
+        total = [0] * width
+        for i in rows:
+            for j in ones(nz[i]):
+                count[j] += 1
+                total[j] += i
+        eligible = 0
+        for j in range(width):
             if count[j] == 1 and star[total[j]] >> j & 1:
                 eligible |= 1 << j
-    return pivots, None
+        self.eligible |= eligible << shift
+        self.count += count
+        self.total += total
+        self.cols += width
+
+    def run(self, choose: _Choose = None) -> None:
+        """Pivot until every row is gone or no column is eligible.
+
+        Without `choose` the lowest eligible column is taken; `choose`
+        instead picks one of the eligible (col, row) pairs, listed in column
+        order, at each step.  The final verdict does not depend on the
+        choice, only the pivot order does.
+        """
+        nz, star, count, total = self.nz, self.star, self.count, self.total
+        eligible, rows_left, pivots = self.eligible, self.rows_left, self.pivots
+        while rows_left and eligible:
+            if choose is None:
+                col = (eligible & -eligible).bit_length() - 1
+                row = total[col]
+            else:
+                col, row = choose([(j, total[j]) for j in ones(eligible)])
+            pivots.append((row, col))
+            rows_left ^= 1 << row
+            # every eligible column the pivot row meets had it as its lone
+            # nonzero, the pivot column among them; they are now empty for good
+            eligible &= ~nz[row]
+            for j in ones(nz[row]):
+                count[j] -= 1
+                total[j] -= row
+                if count[j] == 1 and star[total[j]] >> j & 1:
+                    eligible |= 1 << j
+        self.eligible, self.rows_left = eligible, rows_left
+
+    def verdict(self) -> RankVerdict:
+        """The verdict on the columns so far, after run()."""
+        if self.rows > self.cols:
+            return RankVerdict(False, stall=StallReport("more rows than columns"))
+        if not self.rows_left:
+            return RankVerdict(True, tuple(self.pivots))
+        # the remaining columns fall into at most len(pivots) + 1 maximal
+        # runs between pivot columns; each stalled row is cut run by run
+        runs = []
+        cols: list[int] = []
+        start = 0
+        for c in sorted([c for _, c in self.pivots]) + [self.cols]:
+            if c > start:
+                runs.append((start, (1 << c - start) - 1, len(cols)))
+                cols += range(start, c)
+            start = c + 1
+        rows = ones(self.rows_left)
+        nz, star = [], []
+        for i in rows:
+            n, s = self.nz[i], self.star[i]
+            rn = rs = 0
+            for start, keep, offset in runs:
+                rn |= (n >> start & keep) << offset
+                rs |= (s >> start & keep) << offset
+            nz.append(rn)
+            star.append(rs)
+        residual = PatternMatrix.from_masks(len(rows), len(cols), nz, star)
+        stall = StallReport(
+            "no eligible pivot column", tuple(rows), tuple(cols), residual
+        )
+        return RankVerdict(False, tuple(self.pivots), stall)
 
 
-def _residual(pattern: PatternMatrix, rows, cols) -> PatternMatrix:
-    nz, star = [], []
-    for i in rows:
-        n, s = pattern.nz[i], pattern.star[i]
-        rn = rs = 0
-        for k, j in enumerate(cols):
-            if n >> j & 1:
-                rn |= 1 << k
-                if s >> j & 1:
-                    rs |= 1 << k
-        nz.append(rn)
-        star.append(rs)
-    return PatternMatrix.from_masks(len(rows), len(cols), nz, star)
-
-
-def full_row_rank(
-    pattern: PatternMatrix,
-    choose: Optional[Callable[[list[tuple[int, int]]], tuple[int, int]]] = None,
-) -> RankVerdict:
+def full_row_rank(pattern: PatternMatrix, choose: _Choose = None) -> RankVerdict:
     """Decide whether every member of the pattern class has full row rank.
 
     Without `choose` the lowest eligible column is pivoted at each step;
     `choose` may pick any of the eligible (col, row) pairs instead."""
-    if pattern.rows > pattern.cols:
-        return RankVerdict(False, stall=StallReport("more rows than columns"))
-    pivots, stall = _eliminate(pattern, choose)
-    if stall is None:
-        return RankVerdict(True, tuple(pivots))
-    rows, cols = stall
-    return RankVerdict(
-        False,
-        tuple(pivots),
-        StallReport(
-            "no eligible pivot column", rows, cols, _residual(pattern, rows, cols)
-        ),
-    )
+    state = _Elimination(pattern.rows)
+    state.extend(pattern)
+    if pattern.rows <= pattern.cols:
+        state.run(choose)
+    return state.verdict()
 
 
 def full_column_rank(pattern: PatternMatrix) -> RankVerdict:
     """Row-rank decision on the transpose, with coordinates mapped back."""
     verdict = full_row_rank(pattern.transpose())
-    pivots = tuple((j, i) for (i, j) in verdict.pivots)
+    pivots = tuple([(j, i) for (i, j) in verdict.pivots])
     stall = None
     if verdict.stall is not None:
         s = verdict.stall
@@ -408,10 +459,12 @@ def refute_full_rank(pattern: PatternMatrix) -> Optional[RealizationMatrix]:
     their rows, the last one balancing the rest.  Rows outside R take 1 on *
     and 0 on ?.  The member is re-verified in exact arithmetic.
     """
-    _, stall = _eliminate(pattern)
-    if stall is None:
+    state = _Elimination(pattern.rows)
+    state.extend(pattern)
+    state.run()
+    if not state.rows_left:
         return None
-    stalled = stall[0]
+    stalled = ones(state.rows_left)
     rows, cols = pattern.rows, pattern.cols
     sign = {r: (-1) ** k for k, r in enumerate(stalled)}
     entries = [0] * (rows * cols)

@@ -53,7 +53,7 @@ class RealizationMatrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise DimensionError("ragged rows")
-        return cls(nrows, ncols, tuple(e for r in rows for e in r))
+        return cls(nrows, ncols, tuple([e for r in rows for e in r]))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RealizationMatrix":
@@ -85,7 +85,7 @@ class RealizationMatrix:
         return RealizationMatrix(
             self.rows,
             self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
+            tuple([a + b for a, b in zip(self.entries, other.entries)]),
         )
 
     def __sub__(self, other: "RealizationMatrix") -> "RealizationMatrix":
@@ -99,7 +99,7 @@ class RealizationMatrix:
         return RealizationMatrix(
             self.rows,
             self.cols,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
+            tuple([a - b for a, b in zip(self.entries, other.entries)]),
         )
 
     def __matmul__(self, other: "RealizationMatrix") -> "RealizationMatrix":
@@ -120,24 +120,24 @@ class RealizationMatrix:
 
     def scaled(self, factor) -> "RealizationMatrix":
         return RealizationMatrix(
-            self.rows, self.cols, tuple(factor * e for e in self.entries)
+            self.rows, self.cols, tuple([factor * e for e in self.entries])
         )
 
     def transpose(self) -> "RealizationMatrix":
-        entries = tuple(
+        entries = tuple([
             self.entries[i * self.cols + j]
             for j in range(self.cols)
             for i in range(self.rows)
-        )
+        ])
         return RealizationMatrix(self.cols, self.rows, entries)
 
     def block(self, row0: int, row1: int, col0: int, col1: int) -> "RealizationMatrix":
         """Submatrix of rows [row0, row1) and columns [col0, col1)."""
-        entries = tuple(
+        entries = tuple([
             self.entries[i * self.cols + j]
             for i in range(row0, row1)
             for j in range(col0, col1)
-        )
+        ])
         return RealizationMatrix(row1 - row0, col1 - col0, entries)
 
     def is_exact(self) -> bool:

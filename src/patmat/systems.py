@@ -16,7 +16,13 @@ from typing import Optional
 
 from .errors import DimensionError
 from .pattern import PatternMatrix, hstack, identity_pattern, vstack
-from .rank import RankVerdict, full_column_rank, full_row_rank, numeric_rank
+from .rank import (
+    RankVerdict,
+    _Elimination,
+    full_column_rank,
+    full_row_rank,
+    numeric_rank,
+)
 from .realization import (
     RealizationMatrix,
     ValueDistribution,
@@ -244,15 +250,22 @@ def check_output_controllability(system: StructuredIOSystem) -> AnalysisReport:
     n-1, stopping at the first success (appending columns cannot destroy
     full row rank).  The rank test is sufficient only, so the verdict is
     Holds or Inconclusive.
+
+    One elimination runs through all the prefixes: each power appends its
+    block to the state and resumes from the previous stall, which takes the
+    same pivots, stall and residual as eliminating the prefix afresh.
     """
     n = system.n
+    state = _Elimination(system.p)
     conditions = []
-    blocks = []
     names = []
     for k, block in enumerate(itertools.islice(_output_ctrl_blocks(system), n + 1)):
-        blocks.append(block)
+        state.extend(block)
+        state.run()
         names.append(("D", "CB", "CAB")[k] if k < 3 else f"CA^{k - 1}B")
-        cond = _condition("[" + " ".join(names) + "]", hstack(blocks))
+        cond = ConditionCheck(
+            "[" + " ".join(names) + "]", (state.rows, state.cols), state.verdict()
+        )
         conditions.append(cond)
         if cond.passed:
             return AnalysisReport(

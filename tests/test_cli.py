@@ -246,8 +246,13 @@ class TestGoldenJson:
         "ssc": ["ssc", "ssc_a.pat", "ssc_b.pat"],
         "mul": ["mul", "mul_left.pat", "mul_right.pat"],
         "target": ["target", "fig1.graph", "--leaders", "1,2", "--targets", "1-7"],
+        # narrow prefixes, a late pivot that frees an earlier column, and a
+        # stall residual at every power
+        "target_inconclusive": [
+            "target", "twins.graph", "--leaders", "1,4", "--targets", "2,3,5-7"
+        ],
     }
-    EXIT = {"rank": 1, "ssc": 0, "mul": 0, "target": 0}
+    EXIT = {"rank": 1, "ssc": 0, "mul": 0, "target": 0, "target_inconclusive": 2}
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_report_matches_golden(self, name, tmp_path, capsys):

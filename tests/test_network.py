@@ -251,6 +251,24 @@ class TestTargetControllability:
             (0, 1), (1, n // 2 + 1), (2, n)
         ]
 
+    def test_long_twin_leaf_path_stays_inconclusive(self):
+        # vertices 299 and 300 are twin leaves of vertex 150, so their rows
+        # agree in every block and never separate: the test stalls on them
+        # through all n powers, while targets 1 and 150 pivot in the blocks
+        # CB and CA^149B
+        n = 300
+        edges = [(v, v + 1) for v in range(n - 3)] + [(149, n - 2), (149, n - 1)]
+        graph = DirectedGraph.from_edges(n, edges)
+        targets = (0, 149, n - 2, n - 1)
+        report = check_target_controllability(NetworkProblem(graph, (0,), targets))
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert len(report.conditions) == n + 1
+        last = report.conditions[-1]
+        assert last.shape == (4, n + 1)
+        assert last.verdict.pivots == ((0, 1), (1, 150))
+        assert last.verdict.stall.rows == (2, 3)
+        assert last.verdict.stall.cols == (0, *range(2, 150), *range(151, n + 1))
+
 
 class TestScalingReduction:
     def test_binary_and_starred_selector_ranks_agree(self):

@@ -5,13 +5,16 @@ every run checks the same examples.
 """
 
 from fractions import Fraction
+from random import Random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patmat import (
     PatternMatrix,
     RealizationMatrix,
+    Verdict,
+    check_output_controllability,
     contains,
     full_row_rank,
     hstack,
@@ -21,7 +24,9 @@ from patmat import (
     verify_certificate,
     vstack,
 )
+from patmat.rank import _Elimination
 from patmat.symbols import QUEST, STAR, ZERO, add_symbol, mul_symbol
+from patmat.systems import ConditionCheck, StructuredIOSystem
 
 SYMBOLS = (ZERO, STAR, QUEST)
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -278,3 +283,79 @@ def test_elimination_matches_reference(pattern):
         rows, cols = stall
         residual = tuple(pattern.entries[i * pattern.cols + j] for i in rows for j in cols)
         assert verdict.stall.residual.entries == residual
+
+
+# ---------------------------------------------------------------------------
+# resumable elimination against fresh runs on the composite
+
+
+@st.composite
+def column_blocks(draw):
+    """Up to four blocks with a common row count, each 0 to 30 columns
+    wide, so that prefixes may be narrower than tall, stall, or be empty."""
+    rows = draw(st.integers(1, 30))
+    widths = draw(st.lists(st.integers(0, 30), min_size=1, max_size=4))
+    weights = draw(WEIGHTS)
+    rng = draw(st.randoms(use_true_random=True))
+    return [_grid(rng, rows, width, weights) for width in widths]
+
+
+@PROPERTY
+@given(column_blocks())
+def test_resumed_elimination_matches_fresh_run(blocks):
+    state = _Elimination(blocks[0].rows)
+    for k, block in enumerate(blocks):
+        state.extend(block)
+        state.run()
+        assert state.verdict() == full_row_rank(hstack(blocks[: k + 1]))
+
+
+def _ref_output_controllability(system):
+    """The prefix loop the resumable state replaced: stack every prefix of
+    [D CB CAB ...] afresh and run a fresh elimination on it."""
+    blocks, names, conditions = [], [], []
+    left = system.C
+    for k in range(system.n + 1):
+        if k == 0:
+            blocks.append(system.D)
+        else:
+            blocks.append(left @ system.B)
+            left = left @ system.A
+        names.append(("D", "CB", "CAB")[k] if k < 3 else f"CA^{k - 1}B")
+        composite = hstack(blocks)
+        condition = ConditionCheck(
+            "[" + " ".join(names) + "]", composite.shape, full_row_rank(composite)
+        )
+        conditions.append(condition)
+        if condition.passed:
+            return Verdict.HOLDS, tuple(conditions)
+    return Verdict.INCONCLUSIVE, tuple(conditions)
+
+
+def _io_system(rng, n, m, p, weights):
+    return StructuredIOSystem(
+        _grid(rng, n, n, weights),
+        _grid(rng, n, m, weights),
+        _grid(rng, p, n, weights),
+        _grid(rng, p, m, weights),
+    )
+
+
+@st.composite
+def io_systems(draw):
+    """Random (A, B, C, D) with n up to 10 states, m up to 4 inputs and p
+    up to 6 outputs; any of them may be 0."""
+    n = draw(st.integers(0, 10))
+    m = draw(st.integers(0, 4))
+    p = draw(st.integers(0, 6))
+    return _io_system(draw(st.randoms(use_true_random=True)), n, m, p, draw(WEIGHTS))
+
+
+@PROPERTY
+@given(io_systems())
+@example(_io_system(Random(1), 6, 2, 0, (1, 1, 1)))
+@example(_io_system(Random(2), 6, 0, 3, (1, 1, 1)))
+@example(_io_system(Random(3), 0, 2, 3, (1, 1, 1)))
+def test_output_controllability_matches_prefix_reference(system):
+    report = check_output_controllability(system)
+    assert (report.verdict, report.conditions) == _ref_output_controllability(system)
