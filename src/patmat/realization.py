@@ -11,6 +11,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .errors import DimensionError, MembershipError
@@ -202,51 +203,63 @@ def contains(pattern: PatternMatrix, matrix: RealizationMatrix, tol=0) -> bool:
             f"pattern {pattern.rows}x{pattern.cols} vs matrix"
             f" {matrix.rows}x{matrix.cols}"
         )
+    exact = tol == 0
+    # A falsy entry is 0 and a truthy one is nonzero or NaN, so abs (which
+    # allocates a new Fraction) is needed only at a truthy 0 entry or with
+    # a tolerance.  The cached Symbol tuple walks faster than the masks here.
     for sym, val in zip(pattern.entries, matrix.entries):
         if sym is ZERO:
-            if abs(val) > tol:
+            if val and abs(val) > tol:
                 return False
         elif sym is STAR:
-            if abs(val) <= tol:
+            if not val if exact else abs(val) <= tol:
                 return False
     return True
 
 
-def _draw_nonzero(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    # rational magnitude in [lo, hi] at granularity 1/64 (refined if needed)
-    denom = 64
-    k_lo = -((-lo.numerator * denom) // lo.denominator)  # ceil(lo * denom)
-    k_hi = (hi.numerator * denom) // hi.denominator  # floor(hi * denom)
-    while k_hi < k_lo:
-        denom *= 2
-        k_lo = -((-lo.numerator * denom) // lo.denominator)
-        k_hi = (hi.numerator * denom) // hi.denominator
-    magnitude = Fraction(rng.randint(k_lo, k_hi), denom)
-    sign = rng.choice((1, -1))
-    return sign * magnitude
-
-
 def sample_member(pattern: PatternMatrix, dist: ValueDistribution) -> RealizationMatrix:
-    """Deterministically sample a member of the pattern class (exact Fractions)."""
+    """Deterministically sample a member of the pattern class (exact Fractions).
+
+    Entries are drawn row-major from random.Random(dist.seed); a 0 entry
+    draws nothing and is Fraction(0).  A ? entry draws random() and is
+    Fraction(0) below quest_zero_probability.  Every other ? and every * is
+    sign * k / denom, with k = randint(k_lo, k_hi) drawn before
+    sign = choice((1, -1)); denom starts at 64 and doubles until some grid
+    point k / denom lies in star_magnitude_range.  A seed gives the same
+    member across versions only while this order of calls is kept.
+    """
     rng = random.Random(dist.seed)
+    draw, randint, choice = rng.random, rng.randint, rng.choice
+    quest_zero = dist.quest_zero_probability
     lo, hi = (Fraction(b) for b in dist.star_magnitude_range)
+    denom = 64
+    while True:
+        k_lo = -((-lo.numerator * denom) // lo.denominator)  # ceil(lo * denom)
+        k_hi = (hi.numerator * denom) // hi.denominator  # floor(hi * denom)
+        if k_lo <= k_hi:
+            break
+        denom *= 2
+    values = {}  # sign * k -> its Fraction, for this call only
     entries = []
-    for sym in pattern.entries:
-        if sym is ZERO:
-            entries.append(Fraction(0))
-        elif sym is STAR:
-            entries.append(_draw_nonzero(rng, lo, hi))
-        else:  # QUEST
-            if rng.random() < dist.quest_zero_probability:
+    for n, s in zip(pattern.nz, pattern.star):
+        for j in range(pattern.cols):
+            if not n >> j & 1 or not s >> j & 1 and draw() < quest_zero:
                 entries.append(Fraction(0))
-            else:
-                entries.append(_draw_nonzero(rng, lo, hi))
+                continue
+            k = randint(k_lo, k_hi)
+            k *= choice((1, -1))
+            value = values.get(k)
+            if value is None:
+                value = values[k] = Fraction(k, denom)
+            entries.append(value)
     return RealizationMatrix(pattern.rows, pattern.cols, tuple(entries))
 
 
 def _halve(value):
     if isinstance(value, int):
         return Fraction(value, 2)
+    if type(value) is Fraction:  # a third cheaper than value / 2
+        return Fraction(value.numerator, 2 * value.denominator)
     return value / 2
 
 
@@ -275,44 +288,30 @@ def decompose_sum(
         raise DimensionError(
             f"sum member {total.rows}x{total.cols} vs patterns {a.rows}x{a.cols}"
         )
-    left = []
-    right = []
-    for idx, (sa, sb, value) in enumerate(zip(a.entries, b.entries, total.entries)):
-        i, j = divmod(idx, a.cols) if a.cols else (idx, 0)
-        nonzero = value != 0
-        if sa is ZERO and sb is ZERO:
-            if nonzero:
-                raise MembershipError(
-                    f"entry ({i}, {j}) = {value} but the sum pattern is 0", i, j
-                )
-            left.append(0)
-            right.append(0)
-        elif (sa is ZERO) != (sb is ZERO) and (sa is STAR or sb is STAR):
-            # sum pattern is *: the value must be nonzero and goes to the * side
-            if not nonzero:
+    values = iter(total.entries)  # a slice per row parks tuples on free lists
+    left, right = [], []
+    for i, (an, ast, bn, bst) in enumerate(zip(a.nz, a.star, b.nz, b.star)):
+        both, stars = an & bn, ast | bst  # a * outside `both` makes a + b *
+        for j, value in enumerate(islice(values, a.cols)):
+            bit = 1 << j
+            if both & bit:  # both in {*, ?}: halves, or a cancelling pair
+                x, y = (_halve(value),) * 2 if value else (-1, 1)
+            elif not value and stars & bit:
                 raise MembershipError(
                     f"entry ({i}, {j}) = 0 but the sum pattern is *", i, j
                 )
-            if sa is STAR:
-                left.append(value)
-                right.append(0)
+            elif an & bit:  # (*, 0) or (?, 0)
+                x, y = value, 0
+            elif bn & bit:  # (0, *) or (0, ?)
+                x, y = 0, value
+            elif value:
+                raise MembershipError(
+                    f"entry ({i}, {j}) = {value} but the sum pattern is 0", i, j
+                )
             else:
-                left.append(0)
-                right.append(value)
-        elif sa is ZERO:  # (0, ?)
-            left.append(0)
-            right.append(value)
-        elif sb is ZERO:  # (?, 0)
-            left.append(value)
-            right.append(0)
-        else:  # both in {*, ?}
-            if nonzero:
-                half = _halve(value)
-                left.append(half)
-                right.append(half)
-            else:
-                left.append(-1)
-                right.append(1)
+                x = y = 0
+            left.append(x)
+            right.append(y)
     shape = a.shape
     return (
         RealizationMatrix(shape[0], shape[1], tuple(left)),

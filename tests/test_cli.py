@@ -251,8 +251,23 @@ class TestGoldenJson:
         "target_inconclusive": [
             "target", "twins.graph", "--leaders", "1,4", "--targets", "2,3,5-7"
         ],
+        # sampling oracles: their pass counts depend on the sampled members
+        "oracle_minkowski": [
+            "oracle", "minkowski", "mul_right.pat", "ssc_a.pat",
+            "--trials", "30", "--seed", "11",
+        ],
+        "oracle_rank": [
+            "oracle", "rank", "mul_right.pat", "--trials", "30", "--seed", "11"
+        ],
+        "oracle_pencil": [
+            "oracle", "pencil", "pencil_a.pat", "pencil_b.pat",
+            "--trials", "10", "--seed", "11",
+        ],
     }
-    EXIT = {"rank": 1, "ssc": 0, "mul": 0, "target": 0, "target_inconclusive": 2}
+    EXIT = {
+        "rank": 1, "ssc": 0, "mul": 0, "target": 0, "target_inconclusive": 2,
+        "oracle_minkowski": 0, "oracle_rank": 0, "oracle_pencil": 0,
+    }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_report_matches_golden(self, name, tmp_path, capsys):
@@ -264,10 +279,13 @@ class TestGoldenJson:
         assert run(argv + ["--json", str(report)]) == self.EXIT[name]
         payload = json.loads(report.read_text())
         assert isinstance(payload.pop("timing_seconds"), float)
-        payload["inputs"] = {
-            k: Path(v).name if v.endswith((".pat", ".graph")) else v
-            for k, v in payload["inputs"].items()
-        }
+
+        def name_only(v):
+            if isinstance(v, list):
+                return [name_only(x) for x in v]
+            return Path(v).name if v.endswith((".pat", ".graph")) else v
+
+        payload["inputs"] = {k: name_only(v) for k, v in payload["inputs"].items()}
         golden = json.loads((DATA_DIR / "golden" / f"{name}.json").read_text())
         assert payload == golden
 

@@ -7,23 +7,29 @@ every run checks the same examples.
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patmat import (
+    MembershipError,
     PatternMatrix,
     RealizationMatrix,
+    ValueDistribution,
     Verdict,
     check_output_controllability,
     contains,
+    decompose_sum,
     full_row_rank,
     hstack,
     numeric_rank,
     parse_pattern_text,
     refute_full_rank,
+    sample_member,
     verify_certificate,
     vstack,
 )
+from patmat.oracles import _sums_to
 from patmat.rank import _Elimination
 from patmat.symbols import QUEST, STAR, ZERO, add_symbol, mul_symbol
 from patmat.systems import ConditionCheck, StructuredIOSystem
@@ -359,3 +365,169 @@ def io_systems(draw):
 def test_output_controllability_matches_prefix_reference(system):
     report = check_output_controllability(system)
     assert (report.verdict, report.conditions) == _ref_output_controllability(system)
+
+
+# ---------------------------------------------------------------------------
+# sampling, membership and decomposition against the entry-by-entry Symbol
+# walks that the mask and truthiness code replaced
+
+
+def _ref_contains(pattern, matrix, tol):
+    for sym, val in zip(pattern.entries, matrix.entries):
+        if sym is ZERO:
+            if abs(val) > tol:
+                return False
+        elif sym is STAR:
+            if abs(val) <= tol:
+                return False
+    return True
+
+
+def _ref_draw_nonzero(rng, lo, hi):
+    denom = 64
+    k_lo = -((-lo.numerator * denom) // lo.denominator)
+    k_hi = (hi.numerator * denom) // hi.denominator
+    while k_hi < k_lo:
+        denom *= 2
+        k_lo = -((-lo.numerator * denom) // lo.denominator)
+        k_hi = (hi.numerator * denom) // hi.denominator
+    magnitude = Fraction(rng.randint(k_lo, k_hi), denom)
+    sign = rng.choice((1, -1))
+    return sign * magnitude
+
+
+def _ref_sample_member(pattern, dist):
+    rng = Random(dist.seed)
+    lo, hi = (Fraction(b) for b in dist.star_magnitude_range)
+    entries = []
+    for sym in pattern.entries:
+        if sym is ZERO:
+            entries.append(Fraction(0))
+        elif sym is STAR:
+            entries.append(_ref_draw_nonzero(rng, lo, hi))
+        elif rng.random() < dist.quest_zero_probability:
+            entries.append(Fraction(0))
+        else:
+            entries.append(_ref_draw_nonzero(rng, lo, hi))
+    return RealizationMatrix(pattern.rows, pattern.cols, tuple(entries))
+
+
+def _ref_decompose_sum(total, a, b):
+    left, right = [], []
+    for idx, (sa, sb, value) in enumerate(zip(a.entries, b.entries, total.entries)):
+        i, j = divmod(idx, a.cols)
+        nonzero = value != 0
+        if sa is ZERO and sb is ZERO:
+            if nonzero:
+                raise MembershipError(
+                    f"entry ({i}, {j}) = {value} but the sum pattern is 0", i, j
+                )
+            left.append(0)
+            right.append(0)
+        elif (sa is ZERO) != (sb is ZERO) and (sa is STAR or sb is STAR):
+            if not nonzero:
+                raise MembershipError(
+                    f"entry ({i}, {j}) = 0 but the sum pattern is *", i, j
+                )
+            left.append(value if sa is STAR else 0)
+            right.append(0 if sa is STAR else value)
+        elif sa is ZERO:
+            left.append(0)
+            right.append(value)
+        elif sb is ZERO:
+            left.append(value)
+            right.append(0)
+        elif nonzero:
+            half = Fraction(value, 2) if isinstance(value, int) else value / 2
+            left.append(half)
+            right.append(half)
+        else:
+            left.append(-1)
+            right.append(1)
+    return (
+        RealizationMatrix(a.rows, a.cols, tuple(left)),
+        RealizationMatrix(a.rows, a.cols, tuple(right)),
+    )
+
+
+def _typed(matrix):
+    """Entries by type and repr, so that -0.0 and NaNs compare strictly."""
+    return [(type(e), repr(e)) for e in matrix.entries]
+
+
+MAGNITUDES = st.sampled_from(
+    # (1/1000, 1/999) holds no point k/64, so the grid is refined
+    [(Fraction(1, 2), Fraction(2)), (1, 1), (3, 7), (Fraction(1, 1000), Fraction(1, 999))]
+)
+QUEST_ZERO = st.sampled_from([0.0, 0.25, 1.0])
+
+
+@PROPERTY
+@given(
+    st.integers(0, 30), st.integers(0, 30), WEIGHTS, MAGNITUDES, QUEST_ZERO,
+    st.integers(0, 2**64 - 1), st.randoms(use_true_random=True),
+)
+def test_sampling_matches_symbol_walk(rows, cols, weights, magnitudes, quest_zero, seed, rng):
+    pattern = _grid(rng, rows, cols, weights)
+    dist = ValueDistribution(magnitudes, quest_zero, seed)
+    assert _typed(sample_member(pattern, dist)) == _typed(_ref_sample_member(pattern, dist))
+
+
+NAN = float("nan")
+# scalars that are 0, tiny (0 only under tol 1e-9), nonzero, or NaN
+ZEROISH = (0, False, Fraction(0), 0.0, -0.0, 0j, 1e-12, Fraction(1, 10**12), -1e-12j)
+NONZERO = (1, -2, True, Fraction(3, 7), 0.5, -4e-3, float("inf"), complex(1, -1), 2j)
+ODD = (NAN, complex(NAN, 0), complex(0, NAN))
+EXACT = (0, 1, -1, 2, Fraction(0), Fraction(1, 2), Fraction(-3, 128), Fraction(5, 64))
+
+
+def _scalars(rng, pattern):
+    """A value per entry: mostly one that fits its symbol, sometimes any."""
+    out = []
+    for sym in pattern.entries:
+        pool = ZEROISH if sym is ZERO else NONZERO if sym is STAR else ZEROISH + NONZERO
+        out.append(rng.choice(pool if rng.random() < 0.95 else ZEROISH + NONZERO + ODD))
+    return RealizationMatrix(pattern.rows, pattern.cols, tuple(out))
+
+
+@PROPERTY
+@given(st.integers(0, 12), st.integers(0, 12), WEIGHTS, st.randoms(use_true_random=True))
+def test_membership_matches_symbol_walk(rows, cols, weights, rng):
+    pattern = _grid(rng, rows, cols, weights)
+    members = [_scalars(rng, pattern) for _ in range(20)]
+    members.append(sample_member(pattern, ValueDistribution(seed=rng.getrandbits(32))))
+    for matrix in members:
+        for tol in (0, 1e-9):
+            assert contains(pattern, matrix, tol) is _ref_contains(pattern, matrix, tol)
+
+
+@PROPERTY
+@given(st.integers(0, 12), st.integers(0, 12), WEIGHTS, st.randoms(use_true_random=True))
+def test_decomposition_matches_symbol_walk(rows, cols, weights, rng):
+    a, b = _grid(rng, rows, cols, weights), _grid(rng, rows, cols, weights)
+    total = a + b
+    cases = [
+        sample_member(total, ValueDistribution(quest_zero_probability=q, seed=k))
+        for k, q in enumerate((0.0, 0.25, 1.0))
+    ]
+    cases += [_scalars(rng, total) for _ in range(10)]
+    for matrix in cases:
+        try:
+            expected = _ref_decompose_sum(matrix, a, b)
+        except MembershipError as error:
+            with pytest.raises(MembershipError) as info:
+                decompose_sum(matrix, a, b)
+            got = info.value
+            assert (str(got), got.row, got.col) == (str(error), error.row, error.col)
+        else:
+            left, right = decompose_sum(matrix, a, b)
+            assert (_typed(left), _typed(right)) == tuple(map(_typed, expected))
+            if matrix.is_exact():
+                # the round trip's sum check against the built sum, on
+                # exact members as the round trip uses it
+                other = list(matrix.entries)
+                for _ in range(rng.randint(1, 2) if other else 0):
+                    other[rng.randrange(len(other))] = rng.choice(EXACT)
+                other = RealizationMatrix(rows, cols, tuple(other))
+                for target in (matrix, other):
+                    assert _sums_to(left, right, target) is (left + right == target)

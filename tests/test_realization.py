@@ -97,6 +97,34 @@ class TestSampleMember:
         member = sample_member(pattern, dist)
         assert all(Fraction(1, 2) <= abs(e) <= 2 for e in member.entries)
 
+    def test_pinned_draws(self):
+        # seed in, same numbers out: these are the draws of the Symbol-walk
+        # sampler, row-major, at each ? zero probability
+        pattern = P("* ? 0\n? * ?\n0 ? *")
+        pinned = {
+            0.0: "-83/64 113/64 0 23/16 -9/8 41/64 0 19/32 -59/32",
+            0.25: "-83/64 0 0 -11/8 105/64 -69/64 0 0 13/16",
+            1.0: "-83/64 0 0 0 -11/8 0 0 0 -69/64",
+        }
+        for quest_zero, values in pinned.items():
+            member = sample_member(
+                pattern, ValueDistribution(quest_zero_probability=quest_zero, seed=2021)
+            )
+            assert member.entries == tuple(Fraction(v) for v in values.split())
+            assert all(type(e) is Fraction for e in member.entries)
+
+    def test_huge_magnitude_range_gives_a_member(self):
+        pattern = P("* ? 0 *\n? * * ?\n0 * ? *")
+        for quest_zero in (0.0, 0.25, 1.0):
+            dist = ValueDistribution(
+                star_magnitude_range=(Fraction(1, 10**12), 10**12),
+                quest_zero_probability=quest_zero,
+                seed=3,
+            )
+            member = sample_member(pattern, dist)
+            assert contains(pattern, member, 0)
+            assert all(abs(e) <= 10**12 for e in member.entries)
+
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
             ValueDistribution(star_magnitude_range=(0, 1))
