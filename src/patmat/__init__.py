@@ -36,9 +36,11 @@ from .rank import (
     grid_witness_search,
     numeric_rank,
     pencil_full_rank,
+    refutation,
     refute_full_rank,
     strongly_nonsingular_square,
     verify_certificate,
+    verify_refutation,
 )
 from .realization import (
     RealizationMatrix,
@@ -90,9 +92,11 @@ __all__ = [
     "full_row_rank",
     "full_column_rank",
     "verify_certificate",
+    "verify_refutation",
     "strongly_nonsingular_square",
     "numeric_rank",
     "grid_witness_search",
+    "refutation",
     "refute_full_rank",
     "pencil_full_rank",
     "Verdict",

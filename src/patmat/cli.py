@@ -23,7 +23,7 @@ from .oracles import (
     rank_soundness,
 )
 from .pattern import PatternMatrix, parse_pattern_text
-from .rank import RankVerdict, full_row_rank, refute_full_rank
+from .rank import RankVerdict, full_row_rank, refutation
 from .realization import RealizationMatrix
 from .systems import (
     AnalysisReport,
@@ -97,6 +97,9 @@ def _rank_verdict_json(verdict: RankVerdict) -> dict:
         "pivots": [list(p) for p in verdict.pivots],
         "stall": stall,
         "witness": _witness_json(verdict.witness),
+        "null_vector": (
+            None if verdict.null_vector is None else list(verdict.null_vector)
+        ),
     }
 
 
@@ -254,7 +257,7 @@ def _dispatch(args, started: float) -> int:
         pattern = _read_pattern(args.pattern)
         verdict = full_row_rank(pattern)
         if not verdict.full_rank:
-            verdict = verdict.with_witness(refute_full_rank(pattern))
+            verdict = verdict.with_witness(*refutation(pattern))
         if verdict.full_rank:
             pivot_text = ", ".join(f"({i}, {j})" for i, j in verdict.pivots)
             print(f"full row rank; pivots: {pivot_text or '(none)'}")
@@ -262,6 +265,7 @@ def _dispatch(args, started: float) -> int:
             print(f"not full row rank: {verdict.stall.reason}")
             print("rank-deficient member:")
             print(verdict.witness)
+            print("left null vector:", " ".join(map(str, verdict.null_vector)))
         _emit(
             {
                 "schema_version": SCHEMA_VERSION,

@@ -14,9 +14,13 @@ elimination through all of its growing prefixes.
 
 On success the verdict carries the pivot sequence, which can be replayed
 against the pattern by verify_certificate.  On failure it carries the
-stalled residual, and refute_full_rank turns the stalled rows into an
-explicit member with deficient rank, verified in exact arithmetic; it
-returns None exactly when the pattern has full row rank.
+stalled residual, and refutation turns the stalled rows into an explicit
+member W with deficient rank together with a left null vector y of W; it
+returns None exactly when the pattern has full row rank.  The pair is a
+proof that verify_refutation replays without elimination or rank: y is
+exact and nonzero, W is an exact member of the class, and y.W = 0 column
+by column, at a cost of one membership pass plus O(cols) per nonzero
+entry of y.  refute_full_rank returns the member alone.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import DimensionError
@@ -37,9 +42,11 @@ __all__ = [
     "full_row_rank",
     "full_column_rank",
     "verify_certificate",
+    "verify_refutation",
     "strongly_nonsingular_square",
     "numeric_rank",
     "grid_witness_search",
+    "refutation",
     "refute_full_rank",
     "pencil_full_rank",
 ]
@@ -64,16 +71,22 @@ class RankVerdict:
 
     full_rank=True comes with one pivot (row, col) per row in elimination
     order; full_rank=False comes with a stall report and, when a refuter
-    was consulted, an exact rank-deficient member as witness.
+    was consulted, an exact rank-deficient member as witness together with
+    the left null vector that proves its deficiency.
     """
 
     full_rank: bool
     pivots: tuple[tuple[int, int], ...] = ()
     stall: Optional[StallReport] = None
     witness: Optional[RealizationMatrix] = None
+    null_vector: Optional[tuple[int, ...]] = None
 
-    def with_witness(self, witness: Optional[RealizationMatrix]) -> "RankVerdict":
-        return RankVerdict(self.full_rank, self.pivots, self.stall, witness)
+    def with_witness(
+        self, witness: RealizationMatrix, null_vector: tuple[int, ...]
+    ) -> "RankVerdict":
+        return RankVerdict(
+            self.full_rank, self.pivots, self.stall, witness, null_vector
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +270,36 @@ def verify_certificate(
         active_rows ^= 1 << i
         active_cols ^= 1 << j
     return True
+
+
+def verify_refutation(
+    pattern: PatternMatrix,
+    witness: RealizationMatrix,
+    null_vector: Sequence,
+) -> bool:
+    """Replay a refutation: the witness W must be an exact member of the
+    pattern class and the null vector y exact, nonzero and one entry per
+    row, with y.W = 0 column by column.  Then W has rank below its row
+    count.  The sums run over the nonzero entries of y only, so the check
+    costs one membership pass plus O(cols) per such entry."""
+    if witness.shape != pattern.shape or len(null_vector) != pattern.rows:
+        return False
+    if not (
+        all(isinstance(y, (int, Fraction)) for y in null_vector)
+        and any(null_vector)
+        and witness.is_exact()
+        and contains(pattern, witness, 0)
+    ):
+        return False
+    # W is a member, so it vanishes off the pattern's nonzeros
+    cols, entries = pattern.cols, witness.entries
+    total = [0] * cols
+    for i, y in enumerate(null_vector):
+        if y:
+            base = i * cols
+            for j in ones(pattern.nz[i]):
+                total[j] += y * entries[base + j]
+    return not any(total)
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +490,21 @@ def grid_witness_search(pattern: PatternMatrix) -> Optional[RealizationMatrix]:
     return None
 
 
-def refute_full_rank(pattern: PatternMatrix) -> Optional[RealizationMatrix]:
-    """Exact member of the pattern class with rank below the row count, or
-    None when the pattern has full row rank.
+def refutation(
+    pattern: PatternMatrix,
+) -> Optional[tuple[RealizationMatrix, tuple[int, ...]]]:
+    """An exact member W of the pattern class with rank below the row count
+    and a left null vector y of W, or None when the pattern has full row
+    rank.
 
-    The member is built from where elimination stalls.  Every pivoted column
+    The pair is built from where elimination stalls.  Every pivoted column
     is zero on the stalled rows R, and no other column meets R in a lone *
-    without a ?.  Give the k-th row of R the sign y = (-1)^k; each column is
-    then filled so that y, supported on R, is a left null vector: a lone *
-    gets 1 and the first ? on R cancels it; two or more * get the signs of
-    their rows, the last one balancing the rest.  Rows outside R take 1 on *
-    and 0 on ?.  The member is re-verified in exact arithmetic.
+    without a ?.  y is (-1)^k on the k-th row of R and 0 on every other row;
+    each column is then filled so that y.W = 0: a lone * gets 1 and the
+    first ? on R cancels it; two or more * get the signs of their rows, the
+    last one balancing the rest.  Rows outside R take 1 on * and 0 on ?.
+    The pair is checked by verify_refutation, in time linear in the size of
+    the pattern; a failed check raises RuntimeError.
     """
     state = _Elimination(pattern.rows)
     state.extend(pattern)
@@ -466,14 +513,16 @@ def refute_full_rank(pattern: PatternMatrix) -> Optional[RealizationMatrix]:
         return None
     stalled = ones(state.rows_left)
     rows, cols = pattern.rows, pattern.cols
-    sign = {r: (-1) ** k for k, r in enumerate(stalled)}
+    sign = [0] * rows
+    for k, r in enumerate(stalled):
+        sign[r] = -1 if k & 1 else 1
     entries = [0] * (rows * cols)
     for i, mask in enumerate(pattern.star):
-        if i not in sign:
+        if not sign[i]:
             for j in ones(mask):
                 entries[i * cols + j] = 1
     cnz, cstar = pattern.column_masks()
-    on_stall = sum(1 << r for r in stalled)
+    on_stall = state.rows_left
     for j in range(cols):
         stars = ones(cstar[j] & on_stall)
         if len(stars) == 1:
@@ -489,11 +538,20 @@ def refute_full_rank(pattern: PatternMatrix) -> Optional[RealizationMatrix]:
             last = stars[-1]
             entries[last * cols + j] = -(len(stars) - 1) * sign[last]
     witness = RealizationMatrix(rows, cols, tuple(entries))
-    if not (contains(pattern, witness, 0) and numeric_rank(witness, 0) < rows):
+    null_vector = tuple(sign)
+    if not verify_refutation(pattern, witness, null_vector):
         raise RuntimeError(
-            f"stall witness failed exact verification:\n{pattern.to_text()}"
+            f"stall witness failed its null-vector check:\n{pattern.to_text()}"
         )
-    return witness
+    return witness, null_vector
+
+
+def refute_full_rank(pattern: PatternMatrix) -> Optional[RealizationMatrix]:
+    """Exact member of the pattern class with rank below the row count, or
+    None when the pattern has full row rank: the witness of refutation,
+    whose left null vector proves the deficiency."""
+    found = refutation(pattern)
+    return None if found is None else found[0]
 
 
 # ---------------------------------------------------------------------------

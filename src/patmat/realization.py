@@ -175,6 +175,13 @@ class ValueDistribution:
             raise ValueError("star magnitude lower bound must be positive")
         if hi < lo:
             raise ValueError("empty star magnitude range")
+        # sample_member draws k / 2^m, so a one-point range must be such a
+        # value or the search for a grid point never ends
+        if hi == lo and Fraction(lo).denominator & (Fraction(lo).denominator - 1):
+            raise ValueError(
+                "a one-point star magnitude range needs a power-of-two"
+                " denominator"
+            )
         if not 0 <= self.quest_zero_probability <= 1:
             raise ValueError("quest_zero_probability outside [0, 1]")
 

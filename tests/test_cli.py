@@ -43,8 +43,19 @@ class TestRankCommand:
         assert payload["schema_version"] == "1"
         assert payload["result"]["full_rank"] is False
         assert payload["result"]["witness"] == [["1", "1"], ["1", "1"]]
+        assert payload["result"]["null_vector"] == [1, -1]
         out = capsys.readouterr().out
         assert "not full row rank" in out
+        # the null vector follows the member's rows
+        lines = out.splitlines()
+        start = lines.index("rank-deficient member:") + 1
+        assert lines[start:] == ["1 1", "1 1", "left null vector: 1 -1"]
+
+    def test_full_rank_json_has_no_null_vector(self, write, tmp_path):
+        report = str(tmp_path / "report.json")
+        assert run(["rank", write("a.pat", "* 0\n? *\n"), "--json", report]) == 0
+        result = json.loads(open(report).read())["result"]
+        assert result["witness"] is None and result["null_vector"] is None
 
     def test_missing_file_is_input_error(self):
         assert run(["rank", "/nonexistent/x.pat"]) == 3

@@ -24,9 +24,11 @@ from patmat import (
     hstack,
     numeric_rank,
     parse_pattern_text,
+    refutation,
     refute_full_rank,
     sample_member,
     verify_certificate,
+    verify_refutation,
     vstack,
 )
 from patmat.oracles import _sums_to
@@ -121,6 +123,7 @@ def test_refutation_exists_exactly_when_elimination_stalls(pattern):
         assert witness is not None
         assert contains(pattern, witness, 0)
         assert numeric_rank(witness, 0) < pattern.rows
+        assert verify_refutation(pattern, witness, refutation(pattern)[1])
 
 
 @st.composite

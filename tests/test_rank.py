@@ -20,11 +20,14 @@ from patmat import (
     numeric_rank,
     parse_pattern_text,
     pencil_full_rank,
+    refutation,
     refute_full_rank,
     sample_member,
     strongly_nonsingular_square,
     verify_certificate,
+    verify_refutation,
 )
+from patmat import rank
 from patmat.oracles import pencil_agreement, pencil_refutation_witness, rank_soundness
 from patmat.symbols import STAR, ZERO
 
@@ -298,6 +301,7 @@ class TestRefutation:
             assert witness.is_exact()
             assert contains(pattern, witness, 0)
             assert numeric_rank(witness, 0) < pattern.rows
+            assert verify_refutation(pattern, *refutation(pattern))
             found += 1
         assert found > 50
 
@@ -325,6 +329,98 @@ class TestRefutation:
             witness = refute_full_rank(pattern)
             assert witness is not None, pattern.to_text()
             assert numeric_rank(witness, 0) < 2
+
+
+class TestVerifyRefutation:
+    # rows 1 and 3 stall; y = (0, 1, 0, -1)
+    PATTERN = P("* 0 0 0 0\n0 * * ? 0\n0 0 0 0 *\n0 * ? * 0")
+
+    def test_refutation_pairs_the_witness_with_its_null_vector(self):
+        witness, y = refutation(self.PATTERN)
+        assert witness == refute_full_rank(self.PATTERN)
+        assert y == (0, 1, 0, -1)
+        assert full_row_rank(self.PATTERN).stall.rows == (1, 3)
+        assert verify_refutation(self.PATTERN, witness, y)
+        assert refutation(P("* 0\n? *")) is None
+
+    def test_mutants_are_rejected(self):
+        pattern = self.PATTERN
+        witness, y = refutation(pattern)
+        rows = witness.to_rows()
+
+        def member(i, j, value):
+            changed = [list(r) for r in rows]
+            changed[i][j] = value
+            return R(changed)
+
+        # one flipped sign, the zero vector, a float and a short vector
+        assert not verify_refutation(pattern, witness, (0, 1, 0, 1))
+        assert not verify_refutation(pattern, witness, (0, 0, 0, 0))
+        assert not verify_refutation(pattern, witness, (0, 1.0, 0, -1))
+        assert not verify_refutation(pattern, witness, (0, 1, 0))
+        # one changed entry, still in the class: y.W no longer vanishes
+        assert contains(pattern, member(1, 1, 2), 0)
+        assert not verify_refutation(pattern, member(1, 1, 2), y)
+        # the same values as floats
+        assert not verify_refutation(pattern, witness.scaled(1.0), y)
+        # outside the class, on a row y ignores: only membership catches it
+        assert not verify_refutation(pattern, member(0, 1, 5), y)
+        assert not verify_refutation(P("* 0 0 0\n0 * * ?"), witness, y[:2])
+
+    def test_exact_rank_is_never_consulted(self, monkeypatch):
+        patterns = [P("* *\n* *"), P("*\n*"), P("* * ?\n? * *"), self.PATTERN]
+        expected = [refute_full_rank(p) for p in patterns]
+
+        def forbidden(*args):
+            raise AssertionError("exact rank called")
+
+        monkeypatch.setattr(rank, "_exact_rank", forbidden)
+        monkeypatch.setattr(rank, "numeric_rank", forbidden)
+        assert [refute_full_rank(p) for p in patterns] == expected
+
+    def test_failed_check_raises(self, monkeypatch):
+        monkeypatch.setattr(rank, "verify_refutation", lambda *args: False)
+        with pytest.raises(RuntimeError):
+            refute_full_rank(P("* *\n* *"))
+
+    def test_thousand_row_stall(self):
+        # a lower-triangular * diagonal with ? sprinkled over every column,
+        # and rows 300 and 700 given the same support, all *
+        rng = random.Random(1000)
+        n, cols = 1000, 1050
+        nz, star = [], []
+        for i in range(n):
+            quests = sum(1 << j for j in rng.sample(range(cols), 3))
+            nz.append(1 << i | quests)
+            star.append(1 << i)
+        nz[300] = nz[700] = star[300] = star[700] = nz[300]
+        pattern = PatternMatrix.from_masks(n, cols, nz, star)
+        verdict = full_row_rank(pattern)
+        assert not verdict.full_rank
+        witness, y = refutation(pattern)
+        assert tuple(i for i, v in enumerate(y) if v) == verdict.stall.rows
+        assert len(verdict.stall.rows) > 100
+        assert verify_refutation(pattern, witness, y)
+
+    def test_transposed_column_and_pencil_routes(self):
+        rng = random.Random(61)
+        columns = pencils = 0
+        for _ in range(300):
+            cols = rng.randint(1, 3)
+            pattern = random_pattern(rng, rng.randint(cols, 5), cols)
+            if not full_column_rank(pattern).full_rank:
+                witness_t, y = refutation(pattern.transpose())
+                assert verify_refutation(pattern.transpose(), witness_t, y)
+                columns += 1
+            a, b = (random_pattern(rng, *pattern.shape) for _ in range(2))
+            found = pencil_refutation_witness(a, b)
+            if found is not None:
+                total, work = found[2], a + b
+                if work.rows > work.cols:
+                    total, work = total.transpose(), work.transpose()
+                assert verify_refutation(work, total, refutation(work)[1])
+                pencils += 1
+        assert columns > 50 and pencils > 50
 
 
 class TestRankSoundnessSampling:

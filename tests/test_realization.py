@@ -131,6 +131,16 @@ class TestSampleMember:
         with pytest.raises(ValueError):
             ValueDistribution(quest_zero_probability=1.5)
 
+    def test_one_point_range_must_be_a_sampling_grid_value(self):
+        # no k / 2^m equals 5/7, so sampling could never draw it
+        with pytest.raises(ValueError):
+            ValueDistribution(star_magnitude_range=(Fraction(5, 7), Fraction(5, 7)))
+        for point in (Fraction(3, 4), 2, Fraction(1, 1024)):
+            dist = ValueDistribution(star_magnitude_range=(point, point))
+            member = sample_member(P("* ?\n? *"), dist)
+            assert {abs(e) for e in member.entries} <= {0, point}
+            assert member.entries[0] and member.entries[3]
+
 
 class TestDecomposeSum:
     def test_cancelling_pair_for_zero_entry(self):

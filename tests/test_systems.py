@@ -20,11 +20,15 @@ from patmat import (
     contains,
     derive_seed,
     full_row_rank,
+    hstack,
     identity_pattern,
     member_is_regular,
     numeric_rank,
+    refutation,
     regularity_diagnostic,
     sample_member,
+    verify_refutation,
+    vstack,
 )
 from patmat.oracles import (
     iso_deficiency_witness,
@@ -197,6 +201,26 @@ class TestCheckIso:
                 )
             else:
                 assert contains(system.A, refutation.state_part, 0)
+            refuted += 1
+
+    def test_witness_passes_the_null_vector_check(self):
+        # the witness refutes the transposed composite, so its transpose
+        # has a left null vector
+        rng = random.Random(89)
+        refuted = 0
+        while refuted < 8:
+            system = random_io_system(rng)
+            found = iso_deficiency_witness(system)
+            if found is None:
+                continue
+            a = system.A
+            if found.condition == "[[A+I B],[C D]]":
+                a = a + identity_pattern(system.n)
+            composite = vstack(
+                [hstack([a, system.B]), hstack([system.C, system.D])]
+            ).transpose()
+            _, y = refutation(composite)
+            assert verify_refutation(composite, found.witness.transpose(), y)
             refuted += 1
 
 
