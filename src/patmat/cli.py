@@ -2,8 +2,10 @@
 
 Subcommands operate on pattern text files and graph edge-list files,
 print a human-readable report to stdout, and optionally write a JSON
-report (schema version 1).  Exit status: 0 the property holds or the
-matrix passes, 1 it fails, 2 the test is inconclusive, 3 input error.
+report (schema version 1).  One table names each subcommand's help text
+and arguments; it drives both the parser and the report's "inputs".
+Exit status: 0 the property holds or the matrix passes, 1 it fails, 2 the
+test is inconclusive, 3 input error.
 """
 
 from __future__ import annotations
@@ -16,15 +18,9 @@ from typing import Optional
 
 from .errors import VertexRangeError
 from .network import NetworkProblem, check_target_controllability, parse_graph
-from .oracles import (
-    OracleResult,
-    minkowski_roundtrip,
-    pencil_agreement,
-    rank_soundness,
-)
+from .oracles import minkowski_roundtrip, pencil_agreement, rank_soundness
 from .pattern import PatternMatrix, parse_pattern_text
 from .rank import RankVerdict, full_row_rank, refutation
-from .realization import RealizationMatrix
 from .systems import (
     AnalysisReport,
     StructuredDescriptorSystem,
@@ -42,6 +38,32 @@ SCHEMA_VERSION = "1"
 
 _VERDICT_EXIT = {Verdict.HOLDS: 0, Verdict.FAILS: 1, Verdict.INCONCLUSIVE: 2}
 _INPUT_ERROR = 3
+
+# subcommand -> (help text, argument names); the names are the parser's
+# arguments and the keys of the JSON report's "inputs", in that order
+_COMMANDS = {
+    "add": ("entrywise sum of two patterns", ("left", "right")),
+    "mul": ("semiring product of two patterns", ("left", "right")),
+    "rank": ("strong full row rank with certificate", ("pattern",)),
+    "ssc": ("strong structural controllability of (A, B)", ("a", "b")),
+    "descriptor": (
+        "regular strong structural controllability of (E, A, B)",
+        ("e", "a", "b"),
+    ),
+    "iso": (
+        "strong structural input-state observability of (A, B, C, D)",
+        ("a", "b", "c", "d"),
+    ),
+    "output-ctrl": (
+        "strong structural output controllability of (A, B, C, D)",
+        ("a", "b", "c", "d"),
+    ),
+    "target": (
+        "strong structural target controllability of a network",
+        ("graph", "leaders", "targets"),
+    ),
+    "oracle": ("sampling cross-checks", ("property", "patterns")),
+}
 
 
 def _read_pattern(path: str) -> PatternMatrix:
@@ -76,12 +98,6 @@ def _parse_vertex_list(text: str, n: int) -> tuple[int, ...]:
     return tuple(v - 1 for v in out)
 
 
-def _witness_json(witness: Optional[RealizationMatrix]):
-    if witness is None:
-        return None
-    return witness.rational_strings()
-
-
 def _rank_verdict_json(verdict: RankVerdict) -> dict:
     stall = None
     if verdict.stall is not None:
@@ -96,15 +112,25 @@ def _rank_verdict_json(verdict: RankVerdict) -> dict:
         "full_rank": verdict.full_rank,
         "pivots": [list(p) for p in verdict.pivots],
         "stall": stall,
-        "witness": _witness_json(verdict.witness),
+        "witness": (
+            None if verdict.witness is None else verdict.witness.rational_strings()
+        ),
         "null_vector": (
             None if verdict.null_vector is None else list(verdict.null_vector)
         ),
     }
 
 
-def _report_json(report: AnalysisReport) -> dict:
-    return {
+def _report(report: AnalysisReport) -> tuple[dict, int]:
+    """Print a system report; return its JSON result and exit status."""
+    print(f"property: {report.property.value}")
+    for cond in report.conditions:
+        status = "full rank" if cond.passed else "not full rank"
+        print(f"  condition {cond.name} ({cond.shape[0]}x{cond.shape[1]}): {status}")
+    if report.rank_conditions_hold is not None:
+        print(f"  rank conditions hold: {report.rank_conditions_hold}")
+    print(f"verdict: {report.verdict.value}")
+    result = {
         "property": report.property.value,
         "verdict": report.verdict.value,
         "rank_conditions_hold": report.rank_conditions_hold,
@@ -118,33 +144,7 @@ def _report_json(report: AnalysisReport) -> dict:
         ],
         "notes": report.notes,
     }
-
-
-def _print_report(report: AnalysisReport) -> None:
-    print(f"property: {report.property.value}")
-    for cond in report.conditions:
-        status = "full rank" if cond.passed else "not full rank"
-        print(f"  condition {cond.name} ({cond.shape[0]}x{cond.shape[1]}): {status}")
-    if report.rank_conditions_hold is not None:
-        print(f"  rank conditions hold: {report.rank_conditions_hold}")
-    print(f"verdict: {report.verdict.value}")
-
-
-def _emit(payload: dict, json_path: Optional[str], started: float) -> None:
-    if json_path is None:
-        return
-    payload = dict(payload)
-    payload["timing_seconds"] = round(time.perf_counter() - started, 6)
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-def _oracle_exit(result: OracleResult) -> int:
-    print(result.detail)
-    if result.counterexample is not None:
-        print(f"counterexample: {result.counterexample}")
-    return 0 if result.ok else 1
+    return result, _VERDICT_EXIT[report.verdict]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,69 +153,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Pattern-matrix algebra and strong structural system checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "target":
+            p.add_argument("graph")
+            p.add_argument("--leaders", required=True, metavar="LIST")
+            p.add_argument("--targets", required=True, metavar="LIST")
+        elif command == "oracle":
+            p.add_argument("property", choices=("minkowski", "pencil", "rank"))
+            p.add_argument("patterns", nargs="+")
+            p.add_argument("--trials", type=int, default=100)
+            p.add_argument("--tol", type=float, default=1e-9)
+        else:
+            for name in names:
+                p.add_argument(name)
         p.add_argument("--json", metavar="PATH", help="write a JSON report")
-
-    p_add = sub.add_parser("add", help="entrywise sum of two patterns")
-    p_add.add_argument("left")
-    p_add.add_argument("right")
-    common(p_add)
-
-    p_mul = sub.add_parser("mul", help="semiring product of two patterns")
-    p_mul.add_argument("left")
-    p_mul.add_argument("right")
-    common(p_mul)
-
-    p_rank = sub.add_parser("rank", help="strong full row rank with certificate")
-    p_rank.add_argument("pattern")
-    common(p_rank)
-
-    p_ssc = sub.add_parser("ssc", help="strong structural controllability of (A, B)")
-    p_ssc.add_argument("a")
-    p_ssc.add_argument("b")
-    common(p_ssc)
-
-    p_desc = sub.add_parser(
-        "descriptor", help="regular strong structural controllability of (E, A, B)"
-    )
-    p_desc.add_argument("e")
-    p_desc.add_argument("a")
-    p_desc.add_argument("b")
-    common(p_desc)
-
-    p_iso = sub.add_parser(
-        "iso", help="strong structural input-state observability of (A, B, C, D)"
-    )
-    for name in ("a", "b", "c", "d"):
-        p_iso.add_argument(name)
-    common(p_iso)
-
-    p_oc = sub.add_parser(
-        "output-ctrl", help="strong structural output controllability of (A, B, C, D)"
-    )
-    for name in ("a", "b", "c", "d"):
-        p_oc.add_argument(name)
-    common(p_oc)
-
-    p_target = sub.add_parser(
-        "target", help="strong structural target controllability of a network"
-    )
-    p_target.add_argument("graph")
-    p_target.add_argument("--leaders", required=True, metavar="LIST")
-    p_target.add_argument("--targets", required=True, metavar="LIST")
-    common(p_target)
-
-    p_oracle = sub.add_parser("oracle", help="sampling cross-checks")
-    p_oracle.add_argument(
-        "property", choices=("minkowski", "pencil", "rank")
-    )
-    p_oracle.add_argument("patterns", nargs="+")
-    p_oracle.add_argument("--trials", type=int, default=100)
-    p_oracle.add_argument("--tol", type=float, default=1e-9)
-    common(p_oracle)
-    p_oracle.add_argument("--seed", type=int, default=0)
-
+        if command == "oracle":  # listed after --json in --help
+            p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -227,93 +181,33 @@ def run(argv: Optional[list[str]] = None) -> int:
         # argparse exits 2 on bad usage; fold into the input-error status
         return _INPUT_ERROR if exc.code not in (0, None) else 0
     started = time.perf_counter()
+    command = args.command
     try:
-        return _dispatch(args, started)
+        result, status = _dispatch(args)
+        if args.json is not None:
+            names = _COMMANDS[command][1]
+            payload = {
+                "schema_version": SCHEMA_VERSION,
+                "command": command,
+                "inputs": {name: getattr(args, name) for name in names},
+            }
+            if command == "oracle":
+                payload["options"] = {"trials": args.trials, "seed": args.seed}
+            payload["result"] = result
+            payload["timing_seconds"] = round(time.perf_counter() - started, 6)
+            with open(args.json, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, indent=2)
+                handle.write("\n")
     except (OSError, ValueError) as exc:  # every patmat error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return _INPUT_ERROR
+    return status
 
 
-def _dispatch(args, started: float) -> int:
+def _dispatch(args) -> tuple[dict, int]:
+    """Run the subcommand and print its text report; return the JSON result
+    and the exit status."""
     command = args.command
-    if command in ("add", "mul"):
-        left = _read_pattern(args.left)
-        right = _read_pattern(args.right)
-        result = left + right if command == "add" else left @ right
-        print(result.to_text())
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": command,
-                "inputs": {"left": args.left, "right": args.right},
-                "result": {"pattern": result.to_text().splitlines()},
-            },
-            args.json,
-            started,
-        )
-        return 0
-
-    if command == "rank":
-        pattern = _read_pattern(args.pattern)
-        verdict = full_row_rank(pattern)
-        if not verdict.full_rank:
-            verdict = verdict.with_witness(*refutation(pattern))
-        if verdict.full_rank:
-            pivot_text = ", ".join(f"({i}, {j})" for i, j in verdict.pivots)
-            print(f"full row rank; pivots: {pivot_text or '(none)'}")
-        else:
-            print(f"not full row rank: {verdict.stall.reason}")
-            print("rank-deficient member:")
-            print(verdict.witness)
-            print("left null vector:", " ".join(map(str, verdict.null_vector)))
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": command,
-                "inputs": {"pattern": args.pattern},
-                "result": _rank_verdict_json(verdict),
-            },
-            args.json,
-            started,
-        )
-        return 0 if verdict.full_rank else 1
-
-    if command in ("ssc", "descriptor", "iso", "output-ctrl"):
-        if command == "ssc":
-            report = check_ssc(_read_pattern(args.a), _read_pattern(args.b))
-            inputs = {"a": args.a, "b": args.b}
-        elif command == "descriptor":
-            system = StructuredDescriptorSystem(
-                _read_pattern(args.e), _read_pattern(args.a), _read_pattern(args.b)
-            )
-            report = check_descriptor(system)
-            inputs = {"e": args.e, "a": args.a, "b": args.b}
-        else:
-            system = StructuredIOSystem(
-                _read_pattern(args.a),
-                _read_pattern(args.b),
-                _read_pattern(args.c),
-                _read_pattern(args.d),
-            )
-            report = (
-                check_iso(system)
-                if command == "iso"
-                else check_output_controllability(system)
-            )
-            inputs = {"a": args.a, "b": args.b, "c": args.c, "d": args.d}
-        _print_report(report)
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": command,
-                "inputs": inputs,
-                "result": _report_json(report),
-            },
-            args.json,
-            started,
-        )
-        return _VERDICT_EXIT[report.verdict]
-
     if command == "target":
         with open(args.graph, "r", encoding="utf-8") as handle:
             graph = parse_graph(handle.read())
@@ -322,64 +216,64 @@ def _dispatch(args, started: float) -> int:
             _parse_vertex_list(args.leaders, graph.n),
             _parse_vertex_list(args.targets, graph.n),
         )
-        report = check_target_controllability(problem)
-        _print_report(report)
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": command,
-                "inputs": {
-                    "graph": args.graph,
-                    "leaders": args.leaders,
-                    "targets": args.targets,
-                },
-                "result": _report_json(report),
-            },
-            args.json,
-            started,
-        )
-        return _VERDICT_EXIT[report.verdict]
+        return _report(check_target_controllability(problem))
 
     if command == "oracle":
         patterns = [_read_pattern(path) for path in args.patterns]
-        if args.property == "minkowski":
-            if len(patterns) != 2:
-                raise ValueError("oracle minkowski needs two pattern files")
-            result = minkowski_roundtrip(
-                patterns[0], patterns[1], args.trials, args.seed
-            )
-        elif args.property == "pencil":
-            if len(patterns) != 2:
-                raise ValueError("oracle pencil needs two pattern files")
-            result = pencil_agreement(
-                patterns[0], patterns[1], args.trials, args.seed, tol=args.tol
-            )
-        else:
+        if args.property == "rank":
             if len(patterns) != 1:
                 raise ValueError("oracle rank needs one pattern file")
             result = rank_soundness(patterns[0], args.trials, args.seed)
-        status = _oracle_exit(result)
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "oracle",
-                "inputs": {"property": args.property, "patterns": args.patterns},
-                "options": {"trials": args.trials, "seed": args.seed},
-                "result": {
-                    "name": result.name,
-                    "trials": result.trials,
-                    "passes": result.passes,
-                    "ok": result.ok,
-                    "counterexample": result.counterexample,
-                    "detail": result.detail,
-                },
-            },
-            args.json,
-            started,
-        )
-        return status
+        elif len(patterns) != 2:
+            raise ValueError(f"oracle {args.property} needs two pattern files")
+        elif args.property == "minkowski":
+            result = minkowski_roundtrip(*patterns, args.trials, args.seed)
+        else:
+            result = pencil_agreement(*patterns, args.trials, args.seed, tol=args.tol)
+        print(result.detail)
+        if result.counterexample is not None:
+            print(f"counterexample: {result.counterexample}")
+        return {
+            "name": result.name,
+            "trials": result.trials,
+            "passes": result.passes,
+            "ok": result.ok,
+            "counterexample": result.counterexample,
+            "detail": result.detail,
+        }, 0 if result.ok else 1
 
-    raise ValueError(f"unknown command {command!r}")
+    patterns = [_read_pattern(getattr(args, name)) for name in _COMMANDS[command][1]]
+    if command in ("add", "mul"):
+        left, right = patterns
+        result = left + right if command == "add" else left @ right
+        print(result.to_text())
+        return {"pattern": result.to_text().splitlines()}, 0
+
+    if command == "rank":
+        (pattern,) = patterns
+        verdict = full_row_rank(pattern)
+        if verdict.full_rank:
+            pivot_text = ", ".join(f"({i}, {j})" for i, j in verdict.pivots)
+            print(f"full row rank; pivots: {pivot_text or '(none)'}")
+            return _rank_verdict_json(verdict), 0
+        witness, null_vector = refutation(pattern)
+        verdict = RankVerdict(
+            False, verdict.pivots, verdict.stall, witness, null_vector
+        )
+        print(f"not full row rank: {verdict.stall.reason}")
+        print("rank-deficient member:")
+        print(witness)
+        print("left null vector:", " ".join(map(str, null_vector)))
+        return _rank_verdict_json(verdict), 1
+
+    if command == "ssc":
+        return _report(check_ssc(*patterns))
+    if command == "descriptor":
+        return _report(check_descriptor(StructuredDescriptorSystem(*patterns)))
+    system = StructuredIOSystem(*patterns)
+    if command == "iso":
+        return _report(check_iso(system))
+    return _report(check_output_controllability(system))
 
 
 def main() -> None:

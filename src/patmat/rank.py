@@ -29,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionError
 from .pattern import PatternMatrix, ones
@@ -81,19 +81,9 @@ class RankVerdict:
     witness: Optional[RealizationMatrix] = None
     null_vector: Optional[tuple[int, ...]] = None
 
-    def with_witness(
-        self, witness: RealizationMatrix, null_vector: tuple[int, ...]
-    ) -> "RankVerdict":
-        return RankVerdict(
-            self.full_rank, self.pivots, self.stall, witness, null_vector
-        )
-
 
 # ---------------------------------------------------------------------------
 # pivot elimination
-
-# picks the next pivot from the eligible (col, row) pairs, in column order
-_Choose = Optional[Callable[[list[tuple[int, int]]], tuple[int, int]]]
 
 
 class _Elimination:
@@ -108,9 +98,8 @@ class _Elimination:
     extend() appends a block of columns, counted over the remaining rows
     only, and run() continues from where the last run stopped.  Appended
     columns lie to the right of every earlier column, and a column's
-    eligibility depends only on the remaining rows, so the default run on
-    the blocks so far takes exactly the pivots of a fresh run on their
-    composite.
+    eligibility depends only on the remaining rows, so a run on the blocks
+    so far takes exactly the pivots of a fresh run on their composite.
     """
 
     __slots__ = (
@@ -156,22 +145,14 @@ class _Elimination:
         self.total += total
         self.cols += width
 
-    def run(self, choose: _Choose = None) -> None:
-        """Pivot until every row is gone or no column is eligible.
-
-        Without `choose` the lowest eligible column is taken; `choose`
-        instead picks one of the eligible (col, row) pairs, listed in column
-        order, at each step.  The final verdict does not depend on the
-        choice, only the pivot order does.
-        """
+    def run(self) -> None:
+        """Pivot on the lowest eligible column until every row is gone or
+        no column is eligible."""
         nz, star, count, total = self.nz, self.star, self.count, self.total
         eligible, rows_left, pivots = self.eligible, self.rows_left, self.pivots
         while rows_left and eligible:
-            if choose is None:
-                col = (eligible & -eligible).bit_length() - 1
-                row = total[col]
-            else:
-                col, row = choose([(j, total[j]) for j in ones(eligible)])
+            col = (eligible & -eligible).bit_length() - 1
+            row = total[col]
             pivots.append((row, col))
             rows_left ^= 1 << row
             # every eligible column the pivot row meets had it as its lone
@@ -217,15 +198,14 @@ class _Elimination:
         return RankVerdict(False, tuple(self.pivots), stall)
 
 
-def full_row_rank(pattern: PatternMatrix, choose: _Choose = None) -> RankVerdict:
+def full_row_rank(pattern: PatternMatrix) -> RankVerdict:
     """Decide whether every member of the pattern class has full row rank.
 
-    Without `choose` the lowest eligible column is pivoted at each step;
-    `choose` may pick any of the eligible (col, row) pairs instead."""
+    The lowest eligible column is pivoted at each step."""
     state = _Elimination(pattern.rows)
     state.extend(pattern)
     if pattern.rows <= pattern.cols:
-        state.run(choose)
+        state.run()
     return state.verdict()
 
 

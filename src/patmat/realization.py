@@ -7,6 +7,7 @@ float and complex entries appear only in numeric oracle paths.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -171,6 +172,11 @@ class ValueDistribution:
 
     def __post_init__(self):
         lo, hi = self.star_magnitude_range
+        # only a float can be NaN or infinite; an exact bound is never
+        # converted, so a huge int or Fraction stays valid
+        for bound in (lo, hi):
+            if isinstance(bound, float) and not math.isfinite(bound):
+                raise ValueError(f"star magnitude bound {bound} is not finite")
         if not lo > 0:
             raise ValueError("star magnitude lower bound must be positive")
         if hi < lo:

@@ -16,6 +16,15 @@ def random_pattern(rng: random.Random, rows: int, cols: int, weights=(1, 1, 1)):
     return PatternMatrix(rows, cols, entries)
 
 
+def shuffle_columns(rng: random.Random, pattern: PatternMatrix) -> PatternMatrix:
+    """The pattern with its columns in a random order.  Lowest-column
+    elimination on it takes the original's pivots in another order."""
+    order = list(range(pattern.cols))
+    rng.shuffle(order)
+    entries = tuple(pattern[i, j] for i in range(pattern.rows) for j in order)
+    return PatternMatrix(pattern.rows, pattern.cols, entries)
+
+
 def random_shape(rng: random.Random, max_rows: int, max_cols: int):
     return rng.randint(1, max_rows), rng.randint(1, max_cols)
 

@@ -39,7 +39,7 @@ class TestRankCommand:
         path = write("a.pat", "* *\n* *\n")
         report = str(tmp_path / "report.json")
         assert run(["rank", path, "--json", report]) == 1
-        payload = json.loads(open(report).read())
+        payload = json.loads(Path(report).read_text())
         assert payload["schema_version"] == "1"
         assert payload["result"]["full_rank"] is False
         assert payload["result"]["witness"] == [["1", "1"], ["1", "1"]]
@@ -54,7 +54,7 @@ class TestRankCommand:
     def test_full_rank_json_has_no_null_vector(self, write, tmp_path):
         report = str(tmp_path / "report.json")
         assert run(["rank", write("a.pat", "* 0\n? *\n"), "--json", report]) == 0
-        result = json.loads(open(report).read())["result"]
+        result = json.loads(Path(report).read_text())["result"]
         assert result["witness"] is None and result["null_vector"] is None
 
     def test_missing_file_is_input_error(self):
@@ -87,7 +87,7 @@ class TestAlgebraCommands:
         b = write("b.pat", "* *\n")
         report = str(tmp_path / "sum.json")
         assert run(["add", a, b, "--json", report]) == 0
-        payload = json.loads(open(report).read())
+        payload = json.loads(Path(report).read_text())
         assert payload["result"]["pattern"] == ["? *"]
 
 
@@ -181,9 +181,14 @@ class TestOracleCommand:
         p = write("p.pat", "* 0\n? *\n")
         assert run(["oracle", "rank", p, "--trials", "30"]) == 0
 
-    def test_wrong_arity_is_input_error(self, write):
+    def test_wrong_arity_is_input_error(self, write, capsys):
         p = write("p.pat", "*\n")
         assert run(["oracle", "minkowski", p]) == 3
+        assert capsys.readouterr().err == (
+            "error: oracle minkowski needs two pattern files\n"
+        )
+        assert run(["oracle", "rank", p, p]) == 3
+        assert capsys.readouterr().err == "error: oracle rank needs one pattern file\n"
 
 
 class TestJsonDeterminism:
@@ -193,17 +198,17 @@ class TestJsonDeterminism:
         second = str(tmp_path / "two.json")
         assert run(["rank", a, "--json", first]) == 1
         assert run(["rank", a, "--json", second]) == 1
-        text1 = drop_timing(open(first).read())
-        text2 = drop_timing(open(second).read())
+        text1 = drop_timing(Path(first).read_text())
+        text2 = drop_timing(Path(second).read_text())
         assert text1 == text2
-        payload = json.loads(open(first).read())
+        payload = json.loads(Path(first).read_text())
         assert "timing_seconds" in payload
 
     def test_witness_entries_are_rational_strings(self, write, tmp_path):
         a = write("a.pat", "* *\n* ?\n")
         report = str(tmp_path / "r.json")
         run(["rank", a, "--json", report])
-        payload = json.loads(open(report).read())
+        payload = json.loads(Path(report).read_text())
         witness = payload["result"]["witness"]
         assert witness is not None
         for row in witness:
@@ -313,6 +318,24 @@ class TestGoldenJson:
 class TestUsageErrors:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 3
+
+    @pytest.mark.parametrize(
+        "command",
+        ["add", "mul", "rank", "ssc", "descriptor", "iso", "output-ctrl",
+         "target", "oracle"],
+    )
+    def test_help_exits_zero(self, command, capsys):
+        assert run([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: patmat {command} ")
+
+    def test_unwritable_json_path_is_input_error(self, write, tmp_path, capsys):
+        path = write("a.pat", "* 0\n? *\n")
+        report = str(tmp_path / "missing" / "report.json")
+        assert run(["rank", path, "--json", report]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("full row rank; pivots: ")
+        assert captured.err.startswith("error: ")
+        assert "report.json" in captured.err
 
     def test_console_entry_point(self, tmp_path):
         pattern = tmp_path / "p.pat"

@@ -141,6 +141,16 @@ class TestSampleMember:
             assert {abs(e) for e in member.entries} <= {0, point}
             assert member.entries[0] and member.entries[3]
 
+    def test_non_finite_bounds_are_rejected(self):
+        inf, nan = float("inf"), float("nan")
+        for bounds in ((1, inf), (inf, inf), (nan, 1), (1, nan), (-inf, 1)):
+            with pytest.raises(ValueError):
+                ValueDistribution(star_magnitude_range=bounds)
+        # exact bounds beyond the float range are not converted
+        dist = ValueDistribution(star_magnitude_range=(1, 10**400))
+        member = sample_member(P("* ?\n? *"), dist)
+        assert contains(P("* ?\n? *"), member, 0)
+
 
 class TestDecomposeSum:
     def test_cancelling_pair_for_zero_entry(self):
