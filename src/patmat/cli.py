@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from typing import Optional
 
 from .errors import VertexRangeError
@@ -38,6 +39,15 @@ SCHEMA_VERSION = "1"
 
 _VERDICT_EXIT = {Verdict.HOLDS: 0, Verdict.FAILS: 1, Verdict.INCONCLUSIVE: 2}
 _INPUT_ERROR = 3
+_PENCIL_TOL = 1e-9
+
+# oracle property -> (oracle, number of pattern files); each oracle takes
+# the patterns, then its options as keywords
+_ORACLES = {
+    "minkowski": (minkowski_roundtrip, 2),
+    "pencil": (pencil_agreement, 2),
+    "rank": (rank_soundness, 1),
+}
 
 # subcommand -> (help text, argument names); the names are the parser's
 # arguments and the keys of the JSON report's "inputs", in that order
@@ -69,6 +79,17 @@ _COMMANDS = {
 def _read_pattern(path: str) -> PatternMatrix:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_pattern_text(handle.read())
+
+
+def _oracle_options(args) -> dict:
+    """The options an oracle runs with, as its JSON report records them.
+    Only pencil compares floating-point ranks, so only it takes --tol."""
+    options = {"trials": args.trials, "seed": args.seed}
+    if args.property == "pencil":
+        options["tol"] = _PENCIL_TOL if args.tol is None else args.tol
+    elif args.tol is not None:
+        raise ValueError(f"oracle {args.property} takes no --tol")
+    return options
 
 
 def _parse_vertex_list(text: str, n: int) -> tuple[int, ...]:
@@ -160,10 +181,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--leaders", required=True, metavar="LIST")
             p.add_argument("--targets", required=True, metavar="LIST")
         elif command == "oracle":
-            p.add_argument("property", choices=("minkowski", "pencil", "rank"))
+            p.add_argument("property", choices=tuple(_ORACLES))
             p.add_argument("patterns", nargs="+")
             p.add_argument("--trials", type=int, default=100)
-            p.add_argument("--tol", type=float, default=1e-9)
+            p.add_argument("--tol", type=float)
         else:
             for name in names:
                 p.add_argument(name)
@@ -183,7 +204,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     started = time.perf_counter()
     command = args.command
     try:
-        result, status = _dispatch(args)
+        options = _oracle_options(args) if command == "oracle" else None
+        result, status = _dispatch(args, options)
         if args.json is not None:
             names = _COMMANDS[command][1]
             payload = {
@@ -191,8 +213,8 @@ def run(argv: Optional[list[str]] = None) -> int:
                 "command": command,
                 "inputs": {name: getattr(args, name) for name in names},
             }
-            if command == "oracle":
-                payload["options"] = {"trials": args.trials, "seed": args.seed}
+            if options is not None:
+                payload["options"] = options
             payload["result"] = result
             payload["timing_seconds"] = round(time.perf_counter() - started, 6)
             with open(args.json, "w", encoding="utf-8") as handle:
@@ -204,13 +226,21 @@ def run(argv: Optional[list[str]] = None) -> int:
     return status
 
 
-def _dispatch(args) -> tuple[dict, int]:
-    """Run the subcommand and print its text report; return the JSON result
-    and the exit status."""
+def _dispatch(args, options: Optional[dict]) -> tuple[dict, int]:
+    """Run the subcommand (an oracle with the given options) and print its
+    text report; return the JSON result and the exit status."""
     command = args.command
     if command == "target":
-        with open(args.graph, "r", encoding="utf-8") as handle:
-            graph = parse_graph(handle.read())
+        # the parser's warnings (self-loops, duplicate edges) become stable
+        # `warning: ...` lines, printed every time and never raised
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                with open(args.graph, "r", encoding="utf-8") as handle:
+                    graph = parse_graph(handle.read())
+            finally:
+                for caught_warning in caught:
+                    print(f"warning: {caught_warning.message}", file=sys.stderr)
         problem = NetworkProblem(
             graph,
             _parse_vertex_list(args.leaders, graph.n),
@@ -219,28 +249,17 @@ def _dispatch(args) -> tuple[dict, int]:
         return _report(check_target_controllability(problem))
 
     if command == "oracle":
+        oracle, arity = _ORACLES[args.property]
         patterns = [_read_pattern(path) for path in args.patterns]
-        if args.property == "rank":
-            if len(patterns) != 1:
-                raise ValueError("oracle rank needs one pattern file")
-            result = rank_soundness(patterns[0], args.trials, args.seed)
-        elif len(patterns) != 2:
-            raise ValueError(f"oracle {args.property} needs two pattern files")
-        elif args.property == "minkowski":
-            result = minkowski_roundtrip(*patterns, args.trials, args.seed)
-        else:
-            result = pencil_agreement(*patterns, args.trials, args.seed, tol=args.tol)
+        if len(patterns) != arity:
+            files = "one pattern file" if arity == 1 else "two pattern files"
+            raise ValueError(f"oracle {args.property} needs {files}")
+        result = oracle(*patterns, **options)
         print(result.detail)
         if result.counterexample is not None:
             print(f"counterexample: {result.counterexample}")
-        return {
-            "name": result.name,
-            "trials": result.trials,
-            "passes": result.passes,
-            "ok": result.ok,
-            "counterexample": result.counterexample,
-            "detail": result.detail,
-        }, 0 if result.ok else 1
+        keys = ("name", "trials", "passes", "ok", "counterexample", "detail")
+        return {key: getattr(result, key) for key in keys}, 0 if result.ok else 1
 
     patterns = [_read_pattern(getattr(args, name)) for name in _COMMANDS[command][1]]
     if command in ("add", "mul"):

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DimensionError", "MembershipError", "TextParseError", "VertexRangeError"]
+
 
 class DimensionError(ValueError):
     """Operands have incompatible shapes."""

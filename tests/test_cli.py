@@ -162,6 +162,38 @@ class TestTargetCommand:
         graph = write("fig1.graph", fig1_graph_text())
         assert run(["target", graph, "--leaders", "1-1000000000", "--targets", "1"]) == 3
 
+    def test_empty_list_pieces_are_skipped(self):
+        assert _parse_vertex_list("1,,2", 9) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [("5-3", "empty vertex range '5-3'"), (",", "empty vertex list ','")],
+    )
+    def test_empty_ranges_and_lists_are_rejected(self, text, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            _parse_vertex_list(text, 9)
+
+    def test_parser_warnings_print_as_stable_lines_on_every_run(self, write, capsys):
+        # the suite turns warnings into errors, so this also shows that a
+        # warning neither raises nor ends the command
+        graph = write("g.graph", "n 3\n1 2\n2 2\n1 2\n2 3\n")
+        for _ in range(2):
+            assert run(["target", graph, "--leaders", "1", "--targets", "1-3"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "warning: line 3: self-loop (2, 2) has no effect on the"
+                " qualitative pattern (diagonal entries are already ?)\n"
+                "warning: line 4: duplicate edge (1, 2)\n"
+            )
+            assert "verdict: holds" in captured.out
+
+    def test_warnings_before_a_parse_error_are_printed(self, write, capsys):
+        graph = write("g.graph", "n 2\n1 1\n1 x\n")
+        assert run(["target", graph, "--leaders", "1", "--targets", "1"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("warning: line 2: self-loop (1, 1)")
+        assert err[1] == "error: line 3: edge endpoints are not integers: '1 x'"
+
 
 class TestOracleCommand:
     def test_minkowski_reports_all_trials(self, write, capsys):
@@ -180,6 +212,25 @@ class TestOracleCommand:
     def test_rank_oracle(self, write):
         p = write("p.pat", "* 0\n? *\n")
         assert run(["oracle", "rank", p, "--trials", "30"]) == 0
+
+    @pytest.mark.parametrize("prop, files", [("minkowski", 2), ("rank", 1)])
+    def test_tol_is_refused_where_it_does_nothing(self, write, capsys, prop, files):
+        p = write("p.pat", "* 0\n? *\n")
+        assert run(["oracle", prop, *[p] * files, "--tol", "0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: oracle {prop} takes no --tol\n"
+        assert captured.out == ""
+
+    def test_pencil_report_records_tol(self, write, tmp_path):
+        a = write("a.pat", "* 0\n")
+        b = write("b.pat", "0 *\n")
+        report = tmp_path / "r.json"
+        argv = ["oracle", "pencil", a, b, "--trials", "5", "--json", str(report)]
+        assert run(argv + ["--tol", "1e-6"]) == 0
+        options = json.loads(report.read_text())["options"]
+        assert options == {"trials": 5, "seed": 0, "tol": 1e-6}
+        assert run(argv) == 0
+        assert json.loads(report.read_text())["options"]["tol"] == 1e-9
 
     def test_wrong_arity_is_input_error(self, write, capsys):
         p = write("p.pat", "*\n")

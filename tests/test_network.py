@@ -1,6 +1,7 @@
 """Graphs, selectors, the edge-list format and target controllability."""
 
 import random
+import re
 
 import pytest
 
@@ -166,6 +167,25 @@ class TestParseGraph:
     def test_missing_header(self):
         with pytest.raises(TextParseError, match="header"):
             parse_graph("# only comments\n")
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("n two\n", "line 1: vertex count is not an integer: 'two'"),
+            ("n -1\n", "line 1: negative vertex count -1"),
+            ("n 3\n1 2\n1 2 3\n", "line 3: expected edge 'u v', got '1 2 3'"),
+        ],
+        ids=["non-integer-count", "negative-count", "three-fields"],
+    )
+    def test_bad_lines_are_rejected(self, text, match):
+        with pytest.raises(TextParseError, match=re.escape(match)):
+            parse_graph(text)
+
+    def test_graph_validation(self):
+        with pytest.raises(ValueError, match="negative vertex count -1"):
+            DirectedGraph(-1, frozenset())
+        with pytest.raises(VertexRangeError, match=re.escape("edge (1, 3)")):
+            DirectedGraph.from_edges(2, [(0, 2)])
 
 
 class TestNetworkProblem:

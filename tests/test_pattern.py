@@ -1,6 +1,7 @@
 """Pattern matrix algebra, block operations and the text format."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -204,6 +205,56 @@ class TestValueSemantics:
     def test_entry_count_validated(self):
         with pytest.raises(DimensionError):
             PatternMatrix(2, 2, (ZERO, STAR, QUEST))
+
+    @pytest.mark.parametrize(
+        "build, error, match",
+        [
+            (lambda: PatternMatrix(-1, 0, ()), DimensionError, "negative shape"),
+            (lambda: PatternMatrix(1, 2, ("*", "0")), TypeError, "Symbols"),
+            (lambda: identity_pattern(-1), DimensionError, "negative size"),
+            (lambda: PatternMatrix.from_rows([["*", "0"], ["*"]]), DimensionError,
+             "ragged rows"),
+        ],
+        ids=["negative-shape", "non-symbol-entries", "negative-identity",
+             "ragged-rows"],
+    )
+    def test_constructor_rejects_bad_input(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
+
+    @pytest.mark.parametrize(
+        "rows, cols, nz, star, error, match",
+        [
+            (-1, 2, (), (), DimensionError, "negative shape"),
+            (2, 2, (0b01,), (0b01,), DimensionError, "needs 2 row masks"),
+            (1, 2, (0b100,), (0,), DimensionError, "outside 2 columns"),
+            (1, 2, (-1,), (0,), DimensionError, "outside 2 columns"),
+            (1, 2, (0b01,), (0b10,), ValueError, "subset of the nonzero mask"),
+        ],
+        ids=["negative-shape", "mask-count", "bit-at-cols", "negative-mask",
+             "star-outside-nz"],
+    )
+    def test_from_masks_rejects_bad_input(self, rows, cols, nz, star, error, match):
+        with pytest.raises(error, match=match):
+            PatternMatrix.from_masks(rows, cols, nz, star)
+
+    def test_assignment_is_refused(self):
+        a = P("* 0")
+        with pytest.raises(AttributeError, match="immutable"):
+            a.rows = 3
+        assert a.rows == 1
+
+    @pytest.mark.parametrize("text", ["* 0\n? *", "0 0 0", "?\n*\n0"])
+    def test_pickle_round_trip_keeps_equality(self, text):
+        a = P(text)
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and copy.shape == a.shape
+        assert copy.entries == a.entries
+
+    def test_to_rows_and_str(self):
+        a = P("* 0\n? *")
+        assert a.to_rows() == [[STAR, ZERO], [QUEST, STAR]]
+        assert str(a) == "* 0\n? *"
 
     def test_indexing(self):
         a = P("* 0\n? *")

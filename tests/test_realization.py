@@ -131,6 +131,11 @@ class TestSampleMember:
         with pytest.raises(ValueError):
             ValueDistribution(quest_zero_probability=1.5)
 
+    @pytest.mark.parametrize("bounds", [(2, 1), (Fraction(1, 2), Fraction(1, 3))])
+    def test_empty_range_is_rejected(self, bounds):
+        with pytest.raises(ValueError, match="empty star magnitude range"):
+            ValueDistribution(star_magnitude_range=bounds)
+
     def test_one_point_range_must_be_a_sampling_grid_value(self):
         # no k / 2^m equals 5/7, so sampling could never draw it
         with pytest.raises(ValueError):
@@ -284,3 +289,21 @@ class TestRealizationOps:
             R([[1]]) + R([[1, 2]])
         with pytest.raises(DimensionError):
             R([[1, 2]]) @ R([[1, 2]])
+
+    @pytest.mark.parametrize(
+        "build, error, match",
+        [
+            (lambda: RealizationMatrix(-1, 0, ()), DimensionError, "negative shape"),
+            (lambda: RealizationMatrix(2, 2, (1, 2, 3)), DimensionError,
+             "needs 4 entries, got 3"),
+            (lambda: R([[1, 2], [3]]), DimensionError, "ragged rows"),
+            (lambda: R([[1, 2]])[1, 0], IndexError, "out of range for 1x2"),
+            (lambda: R([[1, 2]])[0, -1], IndexError, "out of range for 1x2"),
+            (lambda: R([[1]]) - R([[1, 2]]), DimensionError, "1x1"),
+        ],
+        ids=["negative-shape", "entry-count", "ragged", "row-index",
+             "column-index", "sub-shape"],
+    )
+    def test_bad_input_is_rejected(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()

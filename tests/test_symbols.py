@@ -92,3 +92,9 @@ def test_mul_distributes_over_add():
 def test_exactly_three_symbols():
     assert len(Symbol) == 3
     assert {s.token for s in Symbol} == {"0", "*", "?"}
+
+
+def test_from_token():
+    assert [Symbol.from_token(t) for t in "0*?"] == [ZERO, STAR, QUEST]
+    with pytest.raises(ValueError, match="not a pattern symbol: 'x'"):
+        Symbol.from_token("x")

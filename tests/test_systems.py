@@ -224,6 +224,21 @@ class TestCheckIso:
             refuted += 1
 
 
+    @pytest.mark.parametrize(
+        "a, b, c, d, match",
+        [
+            ("* 0 0\n0 * 0", "*\n*", "* *", "*", "A must be square, got 2x3"),
+            ("* 0\n0 *", "*\n*\n*", "* *", "*", "B must have 2 rows, got 3"),
+            ("* 0\n0 *", "*\n*", "* * *", "*", "C must have 2 columns, got 3"),
+            ("* 0\n0 *", "*\n*", "* *", "* *", "D must be 1x1, got 1x2"),
+        ],
+        ids=["a", "b", "c", "d"],
+    )
+    def test_io_system_shape_validation(self, a, b, c, d, match):
+        with pytest.raises(DimensionError, match=match):
+            StructuredIOSystem(P(a), P(b), P(c), P(d))
+
+
 class TestBuildOutputCtrlPattern:
     def test_zero_d_contributes_zero_columns(self):
         system = StructuredIOSystem(
@@ -349,3 +364,12 @@ class TestRegularity:
         )
         # singular E with regular pencil
         assert member_is_regular(R([[1, 0], [0, 0]]), R([[0, 1], [1, 0]]))
+
+    @pytest.mark.parametrize(
+        "e, a",
+        [([[1, 0]], [[1, 0]]), ([[1]], [[1, 0], [0, 1]])],
+        ids=["wide", "unequal"],
+    )
+    def test_member_level_shape_validation(self, e, a):
+        with pytest.raises(DimensionError, match="square of equal size"):
+            member_is_regular(R(e), R(a))
