@@ -84,6 +84,8 @@ def _read_pattern(path: str) -> PatternMatrix:
 def _oracle_options(args) -> dict:
     """The options an oracle runs with, as its JSON report records them.
     Only pencil compares floating-point ranks, so only it takes --tol."""
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     options = {"trials": args.trials, "seed": args.seed}
     if args.property == "pencil":
         options["tol"] = _PENCIL_TOL if args.tol is None else args.tol

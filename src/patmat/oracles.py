@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .pattern import PatternMatrix, hstack, identity_pattern, vstack
-from .rank import full_row_rank, numeric_rank, pencil_full_rank, refute_full_rank
+from .rank import (
+    full_row_rank,
+    numeric_rank,
+    pencil_full_rank,
+    refutation,
+    refute_full_rank,
+)
 from .realization import (
     RealizationMatrix,
     ValueDistribution,
@@ -219,11 +225,11 @@ def rank_soundness(
             "rank", trials, passes, counterexample,
             f"verdict full row rank; {passes}/{trials} samples at full rank",
         )
-    witness = refute_full_rank(pattern)
+    refutation(pattern)  # raises RuntimeError unless its null vector checks
     return OracleResult(
         "rank", 1, 1, None,
-        f"verdict not full rank; witness of rank {numeric_rank(witness, 0)}"
-        f" < {pattern.rows} found",
+        f"verdict not full rank; witness of rank < {pattern.rows} found,"
+        " proved by its left null vector",
     )
 
 

@@ -7,7 +7,6 @@ float and complex entries appear only in numeric oracle paths.
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -161,33 +160,15 @@ class RealizationMatrix:
 class ValueDistribution:
     """How pattern-class members are sampled.
 
-    * entries get a random sign and a magnitude from star_magnitude_range;
+    * entries get a random sign and a magnitude k / 64 with 32 <= k <= 128;
     ? entries are zero with quest_zero_probability and sampled like * otherwise.
     Sampled values are exact Fractions so membership checks stay exact.
     """
 
-    star_magnitude_range: tuple = (Fraction(1, 2), Fraction(2))
     quest_zero_probability: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
-        lo, hi = self.star_magnitude_range
-        # only a float can be NaN or infinite; an exact bound is never
-        # converted, so a huge int or Fraction stays valid
-        for bound in (lo, hi):
-            if isinstance(bound, float) and not math.isfinite(bound):
-                raise ValueError(f"star magnitude bound {bound} is not finite")
-        if not lo > 0:
-            raise ValueError("star magnitude lower bound must be positive")
-        if hi < lo:
-            raise ValueError("empty star magnitude range")
-        # sample_member draws k / 2^m, so a one-point range must be such a
-        # value or the search for a grid point never ends
-        if hi == lo and Fraction(lo).denominator & (Fraction(lo).denominator - 1):
-            raise ValueError(
-                "a one-point star magnitude range needs a power-of-two"
-                " denominator"
-            )
         if not 0 <= self.quest_zero_probability <= 1:
             raise ValueError("quest_zero_probability outside [0, 1]")
 
@@ -230,41 +211,32 @@ def contains(pattern: PatternMatrix, matrix: RealizationMatrix, tol=0) -> bool:
     return True
 
 
+# sign * k -> Fraction(sign * k, 64): every nonzero value sample_member draws
+_GRID = {k: Fraction(k, 64) for k in range(-128, 129) if 32 <= abs(k)}
+_ZERO = Fraction(0)
+
+
 def sample_member(pattern: PatternMatrix, dist: ValueDistribution) -> RealizationMatrix:
     """Deterministically sample a member of the pattern class (exact Fractions).
 
     Entries are drawn row-major from random.Random(dist.seed); a 0 entry
     draws nothing and is Fraction(0).  A ? entry draws random() and is
     Fraction(0) below quest_zero_probability.  Every other ? and every * is
-    sign * k / denom, with k = randint(k_lo, k_hi) drawn before
-    sign = choice((1, -1)); denom starts at 64 and doubles until some grid
-    point k / denom lies in star_magnitude_range.  A seed gives the same
-    member across versions only while this order of calls is kept.
+    sign * k / 64, with k = randint(32, 128) drawn before
+    sign = choice((1, -1)).  The values are shared Fractions from one
+    module-level table.  A seed gives the same member across versions only
+    while this order of calls is kept.
     """
     rng = random.Random(dist.seed)
     draw, randint, choice = rng.random, rng.randint, rng.choice
     quest_zero = dist.quest_zero_probability
-    lo, hi = (Fraction(b) for b in dist.star_magnitude_range)
-    denom = 64
-    while True:
-        k_lo = -((-lo.numerator * denom) // lo.denominator)  # ceil(lo * denom)
-        k_hi = (hi.numerator * denom) // hi.denominator  # floor(hi * denom)
-        if k_lo <= k_hi:
-            break
-        denom *= 2
-    values = {}  # sign * k -> its Fraction, for this call only
     entries = []
     for n, s in zip(pattern.nz, pattern.star):
         for j in range(pattern.cols):
             if not n >> j & 1 or not s >> j & 1 and draw() < quest_zero:
-                entries.append(Fraction(0))
-                continue
-            k = randint(k_lo, k_hi)
-            k *= choice((1, -1))
-            value = values.get(k)
-            if value is None:
-                value = values[k] = Fraction(k, denom)
-            entries.append(value)
+                entries.append(_ZERO)
+            else:
+                entries.append(_GRID[randint(32, 128) * choice((1, -1))])
     return RealizationMatrix(pattern.rows, pattern.cols, tuple(entries))
 
 

@@ -221,6 +221,20 @@ class TestOracleCommand:
         assert captured.err == f"error: oracle {prop} takes no --tol\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "prop, files", [("minkowski", 2), ("pencil", 2), ("rank", 1)]
+    )
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_is_input_error(
+        self, tmp_path, capsys, prop, files, trials
+    ):
+        # refused before any pattern file is read: these files do not exist
+        missing = [str(tmp_path / f"missing{k}.pat") for k in range(files)]
+        assert run(["oracle", prop, *missing, "--trials", trials]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: --trials must be at least 1\n"
+        assert captured.out == ""
+
     def test_pencil_report_records_tol(self, write, tmp_path):
         a = write("a.pat", "* 0\n")
         b = write("b.pat", "0 *\n")

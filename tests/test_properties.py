@@ -381,32 +381,24 @@ def _ref_contains(pattern, matrix, tol):
     return True
 
 
-def _ref_draw_nonzero(rng, lo, hi):
-    denom = 64
-    k_lo = -((-lo.numerator * denom) // lo.denominator)
-    k_hi = (hi.numerator * denom) // hi.denominator
-    while k_hi < k_lo:
-        denom *= 2
-        k_lo = -((-lo.numerator * denom) // lo.denominator)
-        k_hi = (hi.numerator * denom) // hi.denominator
-    magnitude = Fraction(rng.randint(k_lo, k_hi), denom)
+def _ref_draw_nonzero(rng):
+    magnitude = Fraction(rng.randint(32, 128), 64)
     sign = rng.choice((1, -1))
     return sign * magnitude
 
 
 def _ref_sample_member(pattern, dist):
     rng = Random(dist.seed)
-    lo, hi = (Fraction(b) for b in dist.star_magnitude_range)
     entries = []
     for sym in pattern.entries:
         if sym is ZERO:
             entries.append(Fraction(0))
         elif sym is STAR:
-            entries.append(_ref_draw_nonzero(rng, lo, hi))
+            entries.append(_ref_draw_nonzero(rng))
         elif rng.random() < dist.quest_zero_probability:
             entries.append(Fraction(0))
         else:
-            entries.append(_ref_draw_nonzero(rng, lo, hi))
+            entries.append(_ref_draw_nonzero(rng))
     return RealizationMatrix(pattern.rows, pattern.cols, tuple(entries))
 
 
@@ -453,21 +445,17 @@ def _typed(matrix):
     return [(type(e), repr(e)) for e in matrix.entries]
 
 
-MAGNITUDES = st.sampled_from(
-    # (1/1000, 1/999) holds no point k/64, so the grid is refined
-    [(Fraction(1, 2), Fraction(2)), (1, 1), (3, 7), (Fraction(1, 1000), Fraction(1, 999))]
-)
 QUEST_ZERO = st.sampled_from([0.0, 0.25, 1.0])
 
 
 @PROPERTY
 @given(
-    st.integers(0, 30), st.integers(0, 30), WEIGHTS, MAGNITUDES, QUEST_ZERO,
+    st.integers(0, 30), st.integers(0, 30), WEIGHTS, QUEST_ZERO,
     st.integers(0, 2**64 - 1), st.randoms(use_true_random=True),
 )
-def test_sampling_matches_symbol_walk(rows, cols, weights, magnitudes, quest_zero, seed, rng):
+def test_sampling_matches_symbol_walk(rows, cols, weights, quest_zero, seed, rng):
     pattern = _grid(rng, rows, cols, weights)
-    dist = ValueDistribution(magnitudes, quest_zero, seed)
+    dist = ValueDistribution(quest_zero, seed)
     assert _typed(sample_member(pattern, dist)) == _typed(_ref_sample_member(pattern, dist))
 
 

@@ -27,7 +27,7 @@ from patmat import (
     verify_certificate,
     verify_refutation,
 )
-from patmat import rank
+from patmat import oracles, rank
 from patmat.oracles import pencil_agreement, pencil_refutation_witness, rank_soundness
 from patmat.symbols import STAR, ZERO
 
@@ -35,6 +35,20 @@ from helpers import random_pattern, random_shape, shuffle_columns
 
 P = PatternMatrix.from_text
 R = RealizationMatrix.from_rows
+
+
+def _thousand_row_stall():
+    """A lower-triangular * diagonal with ? sprinkled over every column,
+    and rows 300 and 700 given the same support, all *."""
+    rng = random.Random(1000)
+    n, cols = 1000, 1050
+    nz, star = [], []
+    for i in range(n):
+        quests = sum(1 << j for j in rng.sample(range(cols), 3))
+        nz.append(1 << i | quests)
+        star.append(1 << i)
+    nz[300] = nz[700] = star[300] = star[700] = nz[300]
+    return PatternMatrix.from_masks(n, cols, nz, star)
 
 
 class TestFullRowRank:
@@ -385,17 +399,7 @@ class TestVerifyRefutation:
             refute_full_rank(P("* *\n* *"))
 
     def test_thousand_row_stall(self):
-        # a lower-triangular * diagonal with ? sprinkled over every column,
-        # and rows 300 and 700 given the same support, all *
-        rng = random.Random(1000)
-        n, cols = 1000, 1050
-        nz, star = [], []
-        for i in range(n):
-            quests = sum(1 << j for j in rng.sample(range(cols), 3))
-            nz.append(1 << i | quests)
-            star.append(1 << i)
-        nz[300] = nz[700] = star[300] = star[700] = nz[300]
-        pattern = PatternMatrix.from_masks(n, cols, nz, star)
+        pattern = _thousand_row_stall()
         verdict = full_row_rank(pattern)
         assert not verdict.full_rank
         witness, y = refutation(pattern)
@@ -487,3 +491,20 @@ class TestRankOracleHelper:
         result = rank_soundness(P("* *\n* *"), trials=50, seed=0)
         assert result.ok
         assert "witness" in result.detail
+
+    def test_deficient_report_runs_no_exact_rank(self, monkeypatch):
+        # the left null vector proves the deficiency; a Bareiss rank of the
+        # witness would cost cubic time for a number the report does not need
+        def forbidden(*args):
+            raise AssertionError("exact rank called")
+
+        monkeypatch.setattr(oracles, "numeric_rank", forbidden)
+        monkeypatch.setattr(rank, "numeric_rank", forbidden)
+        monkeypatch.setattr(rank, "_exact_rank", forbidden)
+        for pattern in (P("* *\n* *"), _thousand_row_stall()):
+            result = rank_soundness(pattern, trials=50, seed=0)
+            assert (result.trials, result.passes, result.counterexample) == (1, 1, None)
+            assert result.detail == (
+                f"verdict not full rank; witness of rank < {pattern.rows} found,"
+                " proved by its left null vector"
+            )
