@@ -344,10 +344,24 @@ class TestGoldenJson:
             "oracle", "pencil", "pencil_a.pat", "pencil_b.pat",
             "--trials", "10", "--seed", "11",
         ],
+        # failing and inconclusive system reports: stalled conditions with
+        # their residuals, column residuals (ISO) read in transposed order
+        "ssc_fails": ["ssc", "ssc_fail_a.pat", "ssc_fail_b.pat"],
+        "descriptor_inconclusive": [
+            "descriptor", "descriptor_e.pat", "ssc_fail_a.pat", "ssc_fail_b.pat"
+        ],
+        "iso_fails": ["iso", "io_a.pat", "io_b.pat", "io_c.pat", "io_d.pat"],
+        "output_ctrl_inconclusive": [
+            "output-ctrl", "io_a.pat", "io_b.pat", "io_c.pat", "io_d.pat"
+        ],
+        # more rows than columns: no residual, a witness from the full run
+        "rank_tall": ["rank", "tall.pat"],
     }
     EXIT = {
         "rank": 1, "ssc": 0, "mul": 0, "target": 0, "target_inconclusive": 2,
         "oracle_minkowski": 0, "oracle_rank": 0, "oracle_pencil": 0,
+        "ssc_fails": 1, "descriptor_inconclusive": 2, "iso_fails": 1,
+        "output_ctrl_inconclusive": 2, "rank_tall": 1,
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
