@@ -21,7 +21,7 @@ from .errors import VertexRangeError
 from .network import NetworkProblem, check_target_controllability, parse_graph
 from .oracles import minkowski_roundtrip, pencil_agreement, rank_soundness
 from .pattern import PatternMatrix, parse_pattern_text
-from .rank import RankVerdict, full_row_rank, refutation
+from .rank import RankVerdict, refutation
 from .systems import (
     AnalysisReport,
     StructuredDescriptorSystem,
@@ -121,15 +121,16 @@ def _parse_vertex_list(text: str, n: int) -> tuple[int, ...]:
     return tuple(v - 1 for v in out)
 
 
-def _rank_verdict_json(verdict: RankVerdict) -> dict:
-    stall = None
-    if verdict.stall is not None:
-        residual = verdict.stall.residual
+def _rank_verdict_json(pattern: PatternMatrix, verdict: RankVerdict) -> dict:
+    stall = verdict.stall
+    if stall is not None:
+        residual = pattern.submatrix(stall.rows, stall.cols).to_text()
         stall = {
-            "reason": verdict.stall.reason,
-            "rows": list(verdict.stall.rows),
-            "cols": list(verdict.stall.cols),
-            "residual": residual.to_text().splitlines() if residual else None,
+            "reason": stall.reason,
+            "rows": list(stall.rows),
+            "cols": list(stall.cols),
+            # a stall on the shape alone names no rows and leaves no residual
+            "residual": residual.splitlines() if stall.rows else None,
         }
     return {
         "full_rank": verdict.full_rank,
@@ -161,7 +162,7 @@ def _report(report: AnalysisReport) -> tuple[dict, int]:
             {
                 "name": cond.name,
                 "shape": list(cond.shape),
-                **_rank_verdict_json(cond.verdict),
+                **_rank_verdict_json(cond.pattern, cond.verdict),
             }
             for cond in report.conditions
         ],
@@ -272,20 +273,16 @@ def _dispatch(args, options: Optional[dict]) -> tuple[dict, int]:
 
     if command == "rank":
         (pattern,) = patterns
-        verdict = full_row_rank(pattern)
+        verdict = refutation(pattern)
         if verdict.full_rank:
             pivot_text = ", ".join(f"({i}, {j})" for i, j in verdict.pivots)
             print(f"full row rank; pivots: {pivot_text or '(none)'}")
-            return _rank_verdict_json(verdict), 0
-        witness, null_vector = refutation(pattern)
-        verdict = RankVerdict(
-            False, verdict.pivots, verdict.stall, witness, null_vector
-        )
-        print(f"not full row rank: {verdict.stall.reason}")
-        print("rank-deficient member:")
-        print(witness)
-        print("left null vector:", " ".join(map(str, null_vector)))
-        return _rank_verdict_json(verdict), 1
+        else:
+            print(f"not full row rank: {verdict.stall.reason}")
+            print("rank-deficient member:")
+            print(verdict.witness)
+            print("left null vector:", " ".join(map(str, verdict.null_vector)))
+        return _rank_verdict_json(pattern, verdict), 0 if verdict.full_rank else 1
 
     if command == "ssc":
         return _report(check_ssc(*patterns))

@@ -12,14 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .pattern import PatternMatrix, hstack, identity_pattern, vstack
-from .rank import (
-    full_row_rank,
-    numeric_rank,
-    pencil_full_rank,
-    refutation,
-    refute_full_rank,
-)
+from .pattern import PatternMatrix, identity_pattern
+from .rank import numeric_rank, pencil_full_rank, refutation, refute_full_rank
 from .realization import (
     RealizationMatrix,
     ValueDistribution,
@@ -31,6 +25,7 @@ from .realization import (
 from .systems import (
     StructuredIOSystem,
     Verdict,
+    check_iso,
     check_output_controllability,
 )
 
@@ -63,6 +58,14 @@ class OracleResult:
         return self.passes == self.trials
 
 
+def _require_counts(**counts: int) -> None:
+    """Reject a sample count below 1: an oracle that checks nothing must not
+    report a pass."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
+
+
 def _dist(seed: int, index: int, quest_prob: float = 0.25) -> ValueDistribution:
     return ValueDistribution(
         quest_zero_probability=quest_prob, seed=derive_seed(seed, index)
@@ -90,6 +93,7 @@ def minkowski_roundtrip(
 ) -> OracleResult:
     """Sample members of the class of a + b and split each with
     decompose_sum; the parts must be members and must sum back exactly."""
+    _require_counts(trials=trials)
     total = a + b
     passes = 0
     counterexample = None
@@ -170,11 +174,13 @@ def pencil_agreement(
 
     Verdict true: for sampled member pairs and nonzero complex lambdas,
     A - lambda*B must have full numeric rank.  Verdict false: an exact
-    deficient witness must exist at lambda = -1.
+    deficient witness must exist at lambda = -1; its left null vector, checked
+    where it is built, proves the deficiency.
     """
+    _require_counts(trials=trials, lam_count=lam_count)
     verdict = pencil_full_rank(a, b)
-    expected = min(a.rows, a.cols)
     if verdict.full_rank:
+        expected = min(a.rows, a.cols)
         lambdas = sample_lambdas(lam_count, seed)
         passes = 0
         counterexample = None
@@ -195,7 +201,6 @@ def pencil_agreement(
         contains(a, left, 0)
         and contains(b, right, 0)
         and left - right.scaled(-1) == total
-        and numeric_rank(total, 0) < expected
     )
     return OracleResult(
         "pencil", 1, 1 if deficient else 0,
@@ -209,7 +214,8 @@ def rank_soundness(
 ) -> OracleResult:
     """If the row-rank verdict is positive, every sampled member must have
     exact rank equal to the row count; otherwise report the refutation."""
-    verdict = full_row_rank(pattern)
+    _require_counts(trials=trials)
+    verdict = refutation(pattern)  # raises RuntimeError unless its null vector checks
     if verdict.full_rank:
         passes = 0
         counterexample = None
@@ -225,7 +231,6 @@ def rank_soundness(
             "rank", trials, passes, counterexample,
             f"verdict full row rank; {passes}/{trials} samples at full rank",
         )
-    refutation(pattern)  # raises RuntimeError unless its null vector checks
     return OracleResult(
         "rank", 1, 1, None,
         f"verdict not full rank; witness of rank < {pattern.rows} found,"
@@ -245,6 +250,7 @@ def iso_stacked_rank_check(
     including zero.  That matrix is the pencil M - lambda*E with
     M = [[A B],[C D]] and E = [[I 0],[0 0]], ranked like the pencil oracle's
     by numeric_rank with tolerance tol."""
+    _require_counts(members=members, lam_count=lam_count)
     n, m, p = system.n, system.m, system.p
     lambdas = sample_lambdas(lam_count, seed, include_zero=True)
     shift = RealizationMatrix.from_rows(
@@ -290,33 +296,20 @@ class IsoRefutation:
 
 
 def iso_deficiency_witness(system: StructuredIOSystem) -> Optional[IsoRefutation]:
-    """Produce an exact column-rank-deficient member for a failing ISO
-    composite by refuting its transpose; None when both composites have
-    full column rank."""
+    """Produce an exact column-rank-deficient member for the first failing
+    condition of check_iso by refuting the transpose of its composite; None
+    when both composites have full column rank."""
     n = system.n
-    bottom = hstack([system.C, system.D])
-    composites = (
-        ("[[A B],[C D]]", hstack([system.A, system.B]), False),
-        (
-            "[[A+I B],[C D]]",
-            hstack([system.A + identity_pattern(n), system.B]),
-            True,
-        ),
-    )
-    for name, top, shifted in composites:
-        pattern = vstack([top, bottom])
-        witness_t = refute_full_rank(pattern.transpose())
-        if witness_t is None:
+    for shifted, cond in enumerate(check_iso(system).conditions):
+        if cond.passed:
             continue
-        witness = witness_t.transpose()
-        top_left = witness.block(0, n, 0, n)
-        if shifted:
+        witness = refute_full_rank(cond.pattern.transpose()).transpose()
+        state_part, diagonal_shift = witness.block(0, n, 0, n), None
+        if shifted:  # the top-left block is a member of A + I
             state_part, diagonal_shift = decompose_sum(
-                top_left, system.A, identity_pattern(n)
+                state_part, system.A, identity_pattern(n)
             )
-        else:
-            state_part, diagonal_shift = top_left, None
-        return IsoRefutation(name, witness, state_part, diagonal_shift)
+        return IsoRefutation(cond.name, witness, state_part, diagonal_shift)
     return None
 
 
@@ -325,6 +318,7 @@ def output_ctrl_sampling(
 ) -> OracleResult:
     """When the output controllability verdict is Holds, every sampled
     member realization of [D, CB, ..., CA^(n-1)B] must have exact rank p."""
+    _require_counts(trials=trials)
     report = check_output_controllability(system)
     if report.verdict is not Verdict.HOLDS:
         return OracleResult(

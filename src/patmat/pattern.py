@@ -188,6 +188,11 @@ class PatternMatrix:
     def to_rows(self) -> list[list[Symbol]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "PatternMatrix":
+        """The entries at the given rows and columns, in the order given."""
+        entries = [self[i, j] for i in rows for j in cols]
+        return PatternMatrix(len(rows), len(cols), entries)
+
     def column_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(nz, star) masks of the columns, bit i being row i; computed
         once per matrix."""

@@ -14,13 +14,15 @@ elimination through all of its growing prefixes.
 
 On success the verdict carries the pivot sequence, which can be replayed
 against the pattern by verify_certificate.  On failure it carries the
-stalled residual, and refutation turns the stalled rows into an explicit
-member W with deficient rank together with a left null vector y of W; it
-returns None exactly when the pattern has full row rank.  The pair is a
-proof that verify_refutation replays without elimination or rank: y is
-exact and nonzero, W is an exact member of the class, and y.W = 0 column
-by column, at a cost of one membership pass plus O(cols) per nonzero
-entry of y.  refute_full_rank returns the member alone.
+stalled rows and the columns that were not pivots; the residual they leave
+is pattern.submatrix(rows, cols).  refutation returns the verdict of its
+own elimination and, exactly when that stalls, turns the stalled rows into
+an explicit member W with deficient rank together with a left null vector
+y of W.  The pair is a proof that verify_refutation replays without
+elimination or rank: y is exact and nonzero, W is an exact member of the
+class, and y.W = 0 column by column, at a cost of one membership pass plus
+O(cols) per nonzero entry of y.  refute_full_rank returns the member
+alone, or None when the pattern has full row rank.
 """
 
 from __future__ import annotations
@@ -57,12 +59,12 @@ _GRID = (0, 1, -1, 2, -2)
 
 @dataclass(frozen=True)
 class StallReport:
-    """Why elimination stopped: reason plus the surviving submatrix."""
+    """Why elimination stopped, and where: the stalled rows and the unpivoted
+    columns, ascending.  A stall on the shape alone names neither."""
 
     reason: str
     rows: tuple[int, ...] = ()
     cols: tuple[int, ...] = ()
-    residual: Optional[PatternMatrix] = None
 
 
 @dataclass(frozen=True)
@@ -70,9 +72,9 @@ class RankVerdict:
     """Outcome of a strong full-rank decision.
 
     full_rank=True comes with one pivot (row, col) per row in elimination
-    order; full_rank=False comes with a stall report and, when a refuter
-    was consulted, an exact rank-deficient member as witness together with
-    the left null vector that proves its deficiency.
+    order; full_rank=False comes with a stall report and, from refutation,
+    an exact rank-deficient member as witness together with the left null
+    vector that proves its deficiency.
     """
 
     full_rank: bool
@@ -169,33 +171,14 @@ class _Elimination:
         """The verdict on the columns so far, after run()."""
         if self.rows > self.cols:
             return RankVerdict(False, stall=StallReport("more rows than columns"))
+        pivots = tuple(self.pivots)
         if not self.rows_left:
-            return RankVerdict(True, tuple(self.pivots))
-        # the remaining columns fall into at most len(pivots) + 1 maximal
-        # runs between pivot columns; each stalled row is cut run by run
-        runs = []
-        cols: list[int] = []
-        start = 0
-        for c in sorted([c for _, c in self.pivots]) + [self.cols]:
-            if c > start:
-                runs.append((start, (1 << c - start) - 1, len(cols)))
-                cols += range(start, c)
-            start = c + 1
-        rows = ones(self.rows_left)
-        nz, star = [], []
-        for i in rows:
-            n, s = self.nz[i], self.star[i]
-            rn = rs = 0
-            for start, keep, offset in runs:
-                rn |= (n >> start & keep) << offset
-                rs |= (s >> start & keep) << offset
-            nz.append(rn)
-            star.append(rs)
-        residual = PatternMatrix.from_masks(len(rows), len(cols), nz, star)
-        stall = StallReport(
-            "no eligible pivot column", tuple(rows), tuple(cols), residual
-        )
-        return RankVerdict(False, tuple(self.pivots), stall)
+            return RankVerdict(True, pivots)
+        pivoted = {c for _, c in pivots}
+        cols = tuple([j for j in range(self.cols) if j not in pivoted])
+        stalled = tuple(ones(self.rows_left))
+        stall = StallReport("no eligible pivot column", stalled, cols)
+        return RankVerdict(False, pivots, stall)
 
 
 def full_row_rank(pattern: PatternMatrix) -> RankVerdict:
@@ -213,20 +196,11 @@ def full_column_rank(pattern: PatternMatrix) -> RankVerdict:
     """Row-rank decision on the transpose, with coordinates mapped back."""
     verdict = full_row_rank(pattern.transpose())
     pivots = tuple([(j, i) for (i, j) in verdict.pivots])
-    stall = None
-    if verdict.stall is not None:
-        s = verdict.stall
-        reason = (
-            "more columns than rows"
-            if s.reason == "more rows than columns"
-            else s.reason
-        )
-        stall = StallReport(
-            reason,
-            rows=s.cols,
-            cols=s.rows,
-            residual=s.residual.transpose() if s.residual is not None else None,
-        )
+    stall = verdict.stall
+    if stall is not None:
+        # a stall on the shape alone names no rows
+        reason = stall.reason if stall.rows else "more columns than rows"
+        stall = StallReport(reason, rows=stall.cols, cols=stall.rows)
     return RankVerdict(verdict.full_rank, pivots, stall)
 
 
@@ -470,12 +444,11 @@ def grid_witness_search(pattern: PatternMatrix) -> Optional[RealizationMatrix]:
     return None
 
 
-def refutation(
-    pattern: PatternMatrix,
-) -> Optional[tuple[RealizationMatrix, tuple[int, ...]]]:
-    """An exact member W of the pattern class with rank below the row count
-    and a left null vector y of W, or None when the pattern has full row
-    rank.
+def refutation(pattern: PatternMatrix) -> RankVerdict:
+    """The row-rank verdict of one elimination; exactly when that stalls, it
+    carries an exact member W of the pattern class with rank below the row
+    count and a left null vector y of W.  With more rows than columns the
+    elimination still runs, to place W and y where it stalls.
 
     The pair is built from where elimination stalls.  Every pivoted column
     is zero on the stalled rows R, and no other column meets R in a lone *
@@ -489,8 +462,9 @@ def refutation(
     state = _Elimination(pattern.rows)
     state.extend(pattern)
     state.run()
+    verdict = state.verdict()
     if not state.rows_left:
-        return None
+        return verdict
     stalled = ones(state.rows_left)
     rows, cols = pattern.rows, pattern.cols
     sign = [0] * rows
@@ -523,15 +497,14 @@ def refutation(
         raise RuntimeError(
             f"stall witness failed its null-vector check:\n{pattern.to_text()}"
         )
-    return witness, null_vector
+    return RankVerdict(False, verdict.pivots, verdict.stall, witness, null_vector)
 
 
 def refute_full_rank(pattern: PatternMatrix) -> Optional[RealizationMatrix]:
     """Exact member of the pattern class with rank below the row count, or
     None when the pattern has full row rank: the witness of refutation,
     whose left null vector proves the deficiency."""
-    found = refutation(pattern)
-    return None if found is None else found[0]
+    return refutation(pattern).witness
 
 
 # ---------------------------------------------------------------------------

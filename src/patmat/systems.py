@@ -62,9 +62,16 @@ class SystemProperty(enum.Enum):
 
 @dataclass(frozen=True)
 class ConditionCheck:
+    """A composite pattern and the strong full-rank verdict on it; a stall's
+    residual is pattern.submatrix(stall.rows, stall.cols)."""
+
     name: str
-    shape: tuple[int, int]
+    pattern: PatternMatrix
     verdict: RankVerdict
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.pattern.shape
 
     @property
     def passed(self) -> bool:
@@ -147,7 +154,7 @@ class StructuredIOSystem:
 
 def _condition(name: str, pattern: PatternMatrix, column: bool = False) -> ConditionCheck:
     verdict = full_column_rank(pattern) if column else full_row_rank(pattern)
-    return ConditionCheck(name, pattern.shape, verdict)
+    return ConditionCheck(name, pattern, verdict)
 
 
 def check_ssc(a: PatternMatrix, b: PatternMatrix) -> AnalysisReport:
@@ -253,7 +260,8 @@ def check_output_controllability(system: StructuredIOSystem) -> AnalysisReport:
 
     One elimination runs through all the prefixes: each power appends its
     block to the state and resumes from the previous stall, which takes the
-    same pivots, stall and residual as eliminating the prefix afresh.
+    same pivots and stall as eliminating the prefix afresh.  Each prefix's
+    composite is built from the state's row masks.
     """
     n = system.n
     state = _Elimination(system.p)
@@ -263,25 +271,23 @@ def check_output_controllability(system: StructuredIOSystem) -> AnalysisReport:
         state.extend(block)
         state.run()
         names.append(("D", "CB", "CAB")[k] if k < 3 else f"CA^{k - 1}B")
-        cond = ConditionCheck(
-            "[" + " ".join(names) + "]", (state.rows, state.cols), state.verdict()
+        composite = PatternMatrix.from_masks(
+            state.rows, state.cols, state.nz, state.star
         )
+        cond = ConditionCheck("[" + " ".join(names) + "]", composite, state.verdict())
         conditions.append(cond)
         if cond.passed:
-            return AnalysisReport(
-                SystemProperty.OUTPUT_CONTROLLABILITY,
-                Verdict.HOLDS,
-                tuple(conditions),
-                notes="sufficient rank test passed on a column prefix",
-            )
-    return AnalysisReport(
-        SystemProperty.OUTPUT_CONTROLLABILITY,
-        Verdict.INCONCLUSIVE,
-        tuple(conditions),
-        notes=(
+            verdict = Verdict.HOLDS
+            notes = "sufficient rank test passed on a column prefix"
+            break
+    else:
+        verdict = Verdict.INCONCLUSIVE
+        notes = (
             "sufficient rank test failed through power"
             f" {n - 1}; no conclusion about the family"
-        ),
+        )
+    return AnalysisReport(
+        SystemProperty.OUTPUT_CONTROLLABILITY, verdict, tuple(conditions), notes=notes
     )
 
 

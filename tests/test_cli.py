@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from patmat import TextParseError, VertexRangeError, parse_pattern_text
+from patmat import TextParseError, VertexRangeError, parse_pattern_text, rank
 from patmat.cli import _parse_vertex_list, run
 
 from helpers import DATA_DIR, fig1_graph_text
@@ -212,6 +212,21 @@ class TestOracleCommand:
     def test_rank_oracle(self, write):
         p = write("p.pat", "* 0\n? *\n")
         assert run(["oracle", "rank", p, "--trials", "30"]) == 0
+
+    @pytest.mark.parametrize("argv", [["rank"], ["oracle", "rank"]])
+    def test_deficient_rank_runs_one_elimination(self, write, monkeypatch, argv):
+        # the verdict, its witness and its null vector come from one run
+        calls = []
+        original = rank._Elimination.run
+
+        def counted(state):
+            calls.append(state)
+            original(state)
+
+        monkeypatch.setattr(rank._Elimination, "run", counted)
+        p = write("p.pat", "* ? 0\n* ? *\n0 0 *\n")
+        assert run([*argv, p]) == (1 if argv == ["rank"] else 0)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("prop, files", [("minkowski", 2), ("rank", 1)])
     def test_tol_is_refused_where_it_does_nothing(self, write, capsys, prop, files):

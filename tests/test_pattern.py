@@ -261,3 +261,22 @@ class TestValueSemantics:
         assert a[0, 0] is STAR and a[1, 0] is QUEST
         with pytest.raises(IndexError):
             a[2, 0]
+
+
+class TestSubmatrix:
+    A = P("* 0 ?\n? * 0\n0 ? *")
+
+    def test_rows_and_columns_in_the_order_given(self):
+        assert self.A.submatrix((0, 2), (1, 2)) == P("0 ?\n? *")
+        assert self.A.submatrix((2, 0), (2, 0, 0)) == P("* 0 0\n? * *")
+        assert self.A.submatrix(range(3), range(3)) == self.A
+
+    def test_empty_selections(self):
+        assert self.A.submatrix((), ()) == PatternMatrix(0, 0, ())
+        assert self.A.submatrix((1,), ()) == PatternMatrix(1, 0, ())
+        assert self.A.submatrix((), (0, 2)) == PatternMatrix(0, 2, ())
+
+    @pytest.mark.parametrize("rows, cols", [((3,), (0,)), ((0,), (3,)), ((-1,), (0,))])
+    def test_out_of_range_raises(self, rows, cols):
+        with pytest.raises(IndexError):
+            self.A.submatrix(rows, cols)

@@ -125,7 +125,7 @@ def test_refutation_exists_exactly_when_elimination_stalls(pattern):
         assert witness is not None
         assert contains(pattern, witness, 0)
         assert numeric_rank(witness, 0) < pattern.rows
-        assert verify_refutation(pattern, witness, refutation(pattern)[1])
+        assert verify_refutation(pattern, witness, refutation(pattern).null_vector)
 
 
 @st.composite
@@ -286,7 +286,7 @@ def test_elimination_matches_reference(pattern):
         assert (verdict.stall.rows, verdict.stall.cols) == stall
         rows, cols = stall
         residual = tuple(pattern.entries[i * pattern.cols + j] for i in rows for j in cols)
-        assert verdict.stall.residual.entries == residual
+        assert pattern.submatrix(*stall).entries == residual
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +328,7 @@ def _ref_output_controllability(system):
         names.append(("D", "CB", "CAB")[k] if k < 3 else f"CA^{k - 1}B")
         composite = hstack(blocks)
         condition = ConditionCheck(
-            "[" + " ".join(names) + "]", composite.shape, full_row_rank(composite)
+            "[" + " ".join(names) + "]", composite, full_row_rank(composite)
         )
         conditions.append(condition)
         if condition.passed:

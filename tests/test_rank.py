@@ -1,5 +1,6 @@
 """Elimination decisions, certificates, refutation and numeric oracles."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ import pytest
 from patmat import (
     DimensionError,
     PatternMatrix,
+    RankVerdict,
     RealizationMatrix,
+    StallReport,
     ValueDistribution,
     contains,
     derive_seed,
@@ -316,7 +319,8 @@ class TestRefutation:
             assert witness.is_exact()
             assert contains(pattern, witness, 0)
             assert numeric_rank(witness, 0) < pattern.rows
-            assert verify_refutation(pattern, *refutation(pattern))
+            y = refutation(pattern).null_vector
+            assert verify_refutation(pattern, witness, y)
             found += 1
         assert found > 50
 
@@ -351,16 +355,22 @@ class TestVerifyRefutation:
     PATTERN = P("* 0 0 0 0\n0 * * ? 0\n0 0 0 0 *\n0 * ? * 0")
 
     def test_refutation_pairs_the_witness_with_its_null_vector(self):
-        witness, y = refutation(self.PATTERN)
-        assert witness == refute_full_rank(self.PATTERN)
-        assert y == (0, 1, 0, -1)
-        assert full_row_rank(self.PATTERN).stall.rows == (1, 3)
-        assert verify_refutation(self.PATTERN, witness, y)
-        assert refutation(P("* 0\n? *")) is None
+        found = refutation(self.PATTERN)
+        decided = full_row_rank(self.PATTERN)
+        assert (found.full_rank, found.pivots, found.stall) == (
+            False, decided.pivots, decided.stall
+        )
+        assert found.stall.rows == (1, 3)
+        assert found.witness == refute_full_rank(self.PATTERN)
+        assert found.null_vector == (0, 1, 0, -1)
+        assert verify_refutation(self.PATTERN, found.witness, found.null_vector)
+        # full rank: the verdict alone, with neither witness nor vector
+        assert refutation(P("* 0\n? *")) == full_row_rank(P("* 0\n? *"))
 
     def test_mutants_are_rejected(self):
         pattern = self.PATTERN
-        witness, y = refutation(pattern)
+        found = refutation(pattern)
+        witness, y = found.witness, found.null_vector
         rows = witness.to_rows()
 
         def member(i, j, value):
@@ -400,12 +410,12 @@ class TestVerifyRefutation:
 
     def test_thousand_row_stall(self):
         pattern = _thousand_row_stall()
-        verdict = full_row_rank(pattern)
+        verdict = refutation(pattern)
         assert not verdict.full_rank
-        witness, y = refutation(pattern)
+        y = verdict.null_vector
         assert tuple(i for i, v in enumerate(y) if v) == verdict.stall.rows
         assert len(verdict.stall.rows) > 100
-        assert verify_refutation(pattern, witness, y)
+        assert verify_refutation(pattern, verdict.witness, y)
 
     def test_transposed_column_and_pencil_routes(self):
         rng = random.Random(61)
@@ -414,8 +424,10 @@ class TestVerifyRefutation:
             cols = rng.randint(1, 3)
             pattern = random_pattern(rng, rng.randint(cols, 5), cols)
             if not full_column_rank(pattern).full_rank:
-                witness_t, y = refutation(pattern.transpose())
-                assert verify_refutation(pattern.transpose(), witness_t, y)
+                found = refutation(pattern.transpose())
+                assert verify_refutation(
+                    pattern.transpose(), found.witness, found.null_vector
+                )
                 columns += 1
             a, b = (random_pattern(rng, *pattern.shape) for _ in range(2))
             found = pencil_refutation_witness(a, b)
@@ -423,7 +435,7 @@ class TestVerifyRefutation:
                 total, work = found[2], a + b
                 if work.rows > work.cols:
                     total, work = total.transpose(), work.transpose()
-                assert verify_refutation(work, total, refutation(work)[1])
+                assert verify_refutation(work, total, refutation(work).null_vector)
                 pencils += 1
         assert columns > 50 and pencils > 50
 
@@ -481,6 +493,26 @@ class TestPencil:
             result = pencil_agreement(a, b, trials=20, seed=trial, lam_count=8)
             assert result.ok, (a.to_text(), b.to_text(), result)
 
+    @pytest.mark.parametrize("trials, lam_count", [(0, 20), (-1, 20), (5, 0)])
+    def test_counts_below_one_are_rejected(self, trials, lam_count):
+        # full rank: lam_count=0 would pass every trial on no lambda at all
+        assert pencil_full_rank(P("* 0"), P("0 *")).full_rank
+        with pytest.raises(ValueError, match="must be at least 1"):
+            pencil_agreement(P("* 0"), P("0 *"), trials=trials, lam_count=lam_count)
+
+    def test_deficient_pencil_runs_no_exact_rank(self, monkeypatch):
+        # the witness's left null vector, checked where it is built, proves
+        # the deficiency; ranking the witness again would cost cubic time
+        def forbidden(*args):
+            raise AssertionError("exact rank called")
+
+        monkeypatch.setattr(oracles, "numeric_rank", forbidden)
+        monkeypatch.setattr(rank, "numeric_rank", forbidden)
+        for a, b in [(P("*"), P("*")), (P("* ?\n0 *\n* 0"), P("0 ?\n* 0\n? 0"))]:
+            assert not pencil_full_rank(a, b).full_rank
+            result = pencil_agreement(a, b)
+            assert (result.trials, result.passes, result.counterexample) == (1, 1, None)
+
 
 class TestRankOracleHelper:
     def test_full_rank_report(self):
@@ -491,6 +523,12 @@ class TestRankOracleHelper:
         result = rank_soundness(P("* *\n* *"), trials=50, seed=0)
         assert result.ok
         assert "witness" in result.detail
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_counts_below_one_are_rejected(self, trials):
+        for pattern in (P("* 0\n? *"), P("* *\n* *")):
+            with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+                rank_soundness(pattern, trials=trials)
 
     def test_deficient_report_runs_no_exact_rank(self, monkeypatch):
         # the left null vector proves the deficiency; a Bareiss rank of the
@@ -508,3 +546,44 @@ class TestRankOracleHelper:
                 f"verdict not full rank; witness of rank < {pattern.rows} found,"
                 " proved by its left null vector"
             )
+
+
+class TestVerdictShapes:
+    """The fields of the decision records: a stall names rows and columns
+    only, and the residual is read off the pattern."""
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(StallReport)] == [
+            "reason", "rows", "cols"
+        ]
+        assert [f.name for f in dataclasses.fields(RankVerdict)] == [
+            "full_rank", "pivots", "stall", "witness", "null_vector"
+        ]
+
+    def test_column_stall_is_the_transposed_row_stall(self):
+        pattern = P("* ? 0 0 ?\n0 * * ? 0\n0 0 0 0 *\n0 * ? * 0")
+        row = full_row_rank(pattern)
+        assert row.stall == StallReport("no eligible pivot column", (1, 3), (1, 2, 3))
+        column = full_column_rank(pattern.transpose())
+        assert column.pivots == tuple((j, i) for i, j in row.pivots)
+        assert column.stall == StallReport(row.stall.reason, (1, 2, 3), (1, 3))
+        # the same call reads each residual in its own orientation
+        residual = pattern.submatrix(row.stall.rows, row.stall.cols)
+        assert residual == P("* * ?\n* ? *")
+        assert (
+            pattern.transpose().submatrix(column.stall.rows, column.stall.cols)
+            == residual.transpose()
+        )
+        assert full_column_rank(P("* *")).stall == StallReport("more columns than rows")
+
+    def test_tall_refutation_keeps_the_shape_verdict(self):
+        # no pivots and no stall rows are reported, but the elimination
+        # still runs: rows 0 and 2 are pivoted before it stalls
+        pattern = P("0 * 0\n0 0 *\n* * 0\n0 0 *\n0 0 ?")
+        verdict = refutation(pattern)
+        assert verdict.full_rank is False
+        assert verdict.pivots == ()
+        assert verdict.stall == StallReport("more rows than columns")
+        assert verdict.null_vector == (0, 1, 0, -1, 1)
+        assert verify_refutation(pattern, verdict.witness, verdict.null_vector)
+        assert refute_full_rank(pattern) == verdict.witness

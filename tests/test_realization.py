@@ -19,6 +19,7 @@ from patmat import (
     sample_member,
 )
 
+from patmat.oracles import minkowski_roundtrip
 from patmat.symbols import QUEST, STAR
 
 from helpers import random_pattern, random_shape
@@ -206,6 +207,11 @@ class TestMinkowskiContainment:
             rc = sample_member(c, ValueDistribution(seed=derive_seed(3, trial)))
             rd = sample_member(d, ValueDistribution(seed=derive_seed(4, trial)))
             assert contains(c @ d, rc @ rd, 0)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_roundtrip_counts_below_one_are_rejected(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            minkowski_roundtrip(P("* ?"), P("? 0"), trials=trials)
 
 
 class TestProductStrictness:

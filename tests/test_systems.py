@@ -1,5 +1,6 @@
 """System-level property checks and their sampling cross-validations."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from patmat import (
     DimensionError,
     PatternMatrix,
     RealizationMatrix,
+    ConditionCheck,
     StructuredDescriptorSystem,
     StructuredIOSystem,
     ValueDistribution,
@@ -174,6 +176,28 @@ class TestCheckIso:
         assert result.ok is False
         assert result.counterexample == {"trial": 0, "lambda": repr(0j)}
 
+    @pytest.mark.parametrize("members, lam_count", [(5, 0), (0, 3), (-1, 3)])
+    def test_counts_below_one_are_rejected(self, members, lam_count):
+        # with no lambda (or no member) the failing system would pass 5/5
+        system = StructuredIOSystem(P("0"), P("0"), P("*"), P("*"))
+        assert not iso_stacked_rank_check(system, members=5, lam_count=3).ok
+        with pytest.raises(ValueError, match="must be at least 1"):
+            iso_stacked_rank_check(system, members=members, lam_count=lam_count)
+
+    def test_conditions_carry_their_composites(self):
+        assert [f.name for f in dataclasses.fields(ConditionCheck)] == [
+            "name", "pattern", "verdict"
+        ]
+        system = StructuredIOSystem(P("0 *\n* 0"), P("*\n0"), P("? *"), P("0"))
+        a_shifted = system.A + identity_pattern(2)
+        expected = [
+            vstack([hstack([system.A, system.B]), hstack([system.C, system.D])]),
+            vstack([hstack([a_shifted, system.B]), hstack([system.C, system.D])]),
+        ]
+        report = check_iso(system)
+        assert [c.pattern for c in report.conditions] == expected
+        assert [c.shape for c in report.conditions] == [(3, 3), (3, 3)]
+
     def test_exact_witness_when_fails(self):
         rng = random.Random(83)
         refuted = 0
@@ -219,7 +243,7 @@ class TestCheckIso:
             composite = vstack(
                 [hstack([a, system.B]), hstack([system.C, system.D])]
             ).transpose()
-            _, y = refutation(composite)
+            y = refutation(composite).null_vector
             assert verify_refutation(composite, found.witness.transpose(), y)
             refuted += 1
 
@@ -340,6 +364,13 @@ class TestCheckOutputControllability:
             result = output_ctrl_sampling(system, trials=100, seed=checked)
             assert result.ok, result
             checked += 1
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_sampling_counts_below_one_are_rejected(self, trials):
+        system = StructuredIOSystem(P("0"), P("*"), P("*"), P("0"))
+        assert check_output_controllability(system).verdict is Verdict.HOLDS
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            output_ctrl_sampling(system, trials=trials)
 
 
 class TestRegularity:
