@@ -359,6 +359,11 @@ class TestGoldenJson:
             "oracle", "pencil", "pencil_a.pat", "pencil_b.pat",
             "--trials", "10", "--seed", "11",
         ],
+        # a deficient pencil: one exact witness at lambda = -1, no sampling
+        "oracle_pencil_deficient": [
+            "oracle", "pencil", "pencil_deficient_a.pat", "pencil_deficient_b.pat",
+            "--trials", "10", "--seed", "11",
+        ],
         # failing and inconclusive system reports: stalled conditions with
         # their residuals, column residuals (ISO) read in transposed order
         "ssc_fails": ["ssc", "ssc_fail_a.pat", "ssc_fail_b.pat"],
@@ -375,8 +380,8 @@ class TestGoldenJson:
     EXIT = {
         "rank": 1, "ssc": 0, "mul": 0, "target": 0, "target_inconclusive": 2,
         "oracle_minkowski": 0, "oracle_rank": 0, "oracle_pencil": 0,
-        "ssc_fails": 1, "descriptor_inconclusive": 2, "iso_fails": 1,
-        "output_ctrl_inconclusive": 2, "rank_tall": 1,
+        "oracle_pencil_deficient": 0, "ssc_fails": 1, "descriptor_inconclusive": 2,
+        "iso_fails": 1, "output_ctrl_inconclusive": 2, "rank_tall": 1,
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
