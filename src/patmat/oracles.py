@@ -12,8 +12,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import DimensionError
 from .pattern import PatternMatrix, identity_pattern
-from .rank import numeric_rank, pencil_full_rank, refutation, refute_full_rank
+from .rank import numeric_rank, refutation, refute_full_rank
 from .realization import (
     RealizationMatrix,
     ValueDistribution,
@@ -55,7 +56,7 @@ class OracleResult:
 
     @property
     def ok(self) -> bool:
-        return self.passes == self.trials
+        return self.trials > 0 and self.passes == self.trials
 
 
 def _require_counts(**counts: int) -> None:
@@ -150,7 +151,11 @@ def pencil_refutation_witness(
     """Exact witness for a failed pencil verdict: a member of the summed
     class with deficient rank, split into (A part, B part, sum).  At
     lambda = -1 the pencil of the parts equals the deficient sum.  None
-    means the pencil has full rank."""
+    means the pencil has full rank: this one elimination decides it."""
+    if a.shape != b.shape:
+        raise DimensionError(
+            f"pencil patterns differ: {a.rows}x{a.cols} vs {b.rows}x{b.cols}"
+        )
     total = a + b
     work = total if total.rows <= total.cols else total.transpose()
     witness = refute_full_rank(work)
@@ -170,16 +175,15 @@ def pencil_agreement(
     lam_count: int = 20,
     tol: float = 1e-9,
 ) -> OracleResult:
-    """Cross-check pencil_full_rank against sampled members.
-
-    Verdict true: for sampled member pairs and nonzero complex lambdas,
-    A - lambda*B must have full numeric rank.  Verdict false: an exact
-    deficient witness must exist at lambda = -1; its left null vector, checked
-    where it is built, proves the deficiency.
-    """
+    """Cross-check the pencil verdict, decided by the one elimination of
+    pencil_refutation_witness, against sampled members.  Verdict true: for
+    sampled member pairs and nonzero complex lambdas, A - lambda*B must have
+    full numeric rank.  Verdict false: an exact deficient witness must exist
+    at lambda = -1; its left null vector, checked where it is built, proves
+    the deficiency."""
     _require_counts(trials=trials, lam_count=lam_count)
-    verdict = pencil_full_rank(a, b)
-    if verdict.full_rank:
+    parts = pencil_refutation_witness(a, b)
+    if parts is None:
         expected = min(a.rows, a.cols)
         lambdas = sample_lambdas(lam_count, seed)
         passes = 0
@@ -196,7 +200,7 @@ def pencil_agreement(
             "pencil", trials, passes, counterexample,
             f"verdict full rank; {passes}/{trials} sampled pencils full rank",
         )
-    left, right, total = pencil_refutation_witness(a, b)
+    left, right, total = parts
     deficient = (
         contains(a, left, 0)
         and contains(b, right, 0)

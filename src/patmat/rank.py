@@ -257,83 +257,58 @@ def verify_refutation(
 
 
 # ---------------------------------------------------------------------------
-# square cross-check via bipartite matching
+# square cross-check, independent of the pivot elimination: breadth-first
+# augmenting paths, then Kahn's topological order; O(rows x nonzeros)
 
 
 def strongly_nonsingular_square(pattern: PatternMatrix) -> bool:
     """True iff the rows-by-columns bipartite graph of nonzero entries has
-    exactly one perfect matching and every matched entry is *."""
+    exactly one perfect matching and every matched entry is *.  Row r points
+    to the row matched to each other column r meets.  A cycle there would
+    give a second matching, so the matching is unique iff Kahn's order
+    removes every row."""
     if pattern.rows != pattern.cols:
         raise DimensionError(
             f"square pattern required, got {pattern.rows}x{pattern.cols}"
         )
     n = pattern.rows
-    if n == 0:
-        return True
     adj = [ones(mask) for mask in pattern.nz]
-
     match_col = [-1] * n  # column -> matched row
-
-    def augment(root: int) -> bool:
-        # depth-first search for an augmenting path, kept on an explicit
-        # stack so that long alternating paths cannot overflow the call stack
-        seen = [False] * n
-        stack = [(root, iter(adj[root]))]
-        path_cols: list[int] = []  # path_cols[k] leaves the row of stack[k]
-        while stack:
-            for c in stack[-1][1]:
-                if not seen[c]:
-                    seen[c] = True
-                    break
-            else:
-                stack.pop()
-                if path_cols:
-                    path_cols.pop()
-                continue
-            path_cols.append(c)
-            if match_col[c] == -1:
-                for (r, _), col in zip(stack, path_cols):
-                    match_col[col] = r
-                return True
-            stack.append((match_col[c], iter(adj[match_col[c]])))
-        return False
-
-    for r in range(n):
-        if not augment(r):
+    match_row = [-1] * n  # row -> matched column
+    for root in range(n):
+        reached_from = [-1] * n  # column -> the row the search reached it from
+        queue = [root]
+        free = -1
+        for r in queue:
+            for c in adj[r]:
+                if reached_from[c] < 0:
+                    reached_from[c] = r
+                    if match_col[c] < 0:
+                        free = c
+                        break
+                    queue.append(match_col[c])
+            if free >= 0:
+                break
+        if free < 0:
             return False  # no perfect matching at all
-
+        while free >= 0:  # flip the path back to the root, which had no column
+            r = reached_from[free]
+            match_col[free] = r
+            match_row[r], free = free, match_row[r]
     if any(not pattern.star[match_col[c]] >> c & 1 for c in range(n)):
         return False
-
-    # uniqueness: the matching is unique iff there is no alternating cycle;
-    # walk row -> row via (non-matching edge, matching edge) pairs
-    match_row = [-1] * n
-    for c in range(n):
-        match_row[match_col[c]] = c
-    succ = [
-        [match_col[c] for c in adj[r] if c != match_row[r]] for r in range(n)
-    ]
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    stack: list[tuple[int, int]] = []
-    for start in range(n):
-        if color[start]:
-            continue
-        stack.append((start, 0))
-        color[start] = 1
-        while stack:
-            node, idx = stack[-1]
-            if idx < len(succ[node]):
-                stack[-1] = (node, idx + 1)
-                nxt = succ[node][idx]
-                if color[nxt] == 1:
-                    return False  # alternating cycle: a second matching exists
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, 0))
-            else:
-                color[node] = 2
-                stack.pop()
-    return True
+    indegree = [-1] * n  # each row's own matched entry is counted once too many
+    for cols in adj:
+        for c in cols:
+            indegree[match_col[c]] += 1
+    order = [r for r in range(n) if not indegree[r]]
+    for r in order:
+        for c in adj[r]:  # r's own matched entry takes r below 0, for good
+            s = match_col[c]
+            indegree[s] -= 1
+            if not indegree[s]:
+                order.append(s)
+    return len(order) == n
 
 
 # ---------------------------------------------------------------------------

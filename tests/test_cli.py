@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from patmat import TextParseError, VertexRangeError, parse_pattern_text, rank
+from patmat import TextParseError, VertexRangeError, parse_pattern_text
 from patmat.cli import _parse_vertex_list, run
 
 from helpers import DATA_DIR, fig1_graph_text
@@ -214,19 +214,27 @@ class TestOracleCommand:
         assert run(["oracle", "rank", p, "--trials", "30"]) == 0
 
     @pytest.mark.parametrize("argv", [["rank"], ["oracle", "rank"]])
-    def test_deficient_rank_runs_one_elimination(self, write, monkeypatch, argv):
+    def test_deficient_rank_runs_one_elimination(self, write, eliminations, argv):
         # the verdict, its witness and its null vector come from one run
-        calls = []
-        original = rank._Elimination.run
-
-        def counted(state):
-            calls.append(state)
-            original(state)
-
-        monkeypatch.setattr(rank._Elimination, "run", counted)
         p = write("p.pat", "* ? 0\n* ? *\n0 0 *\n")
         assert run([*argv, p]) == (1 if argv == ["rank"] else 0)
-        assert len(calls) == 1
+        assert len(eliminations) == 1
+
+    @pytest.mark.parametrize("b_text", ["0 0 0\n0 0 0\n", "0 0 *\n0 0 0\n"])
+    def test_pencil_runs_one_elimination(self, write, eliminations, b_text):
+        # deficient (A + B = A) or full rank: one run decides the verdict
+        a = write("a.pat", "* ? 0\n* ? 0\n")
+        b = write("b.pat", b_text)
+        assert run(["oracle", "pencil", a, b, "--trials", "3"]) == 0
+        assert len(eliminations) == 1
+
+    def test_pencil_shape_mismatch_is_input_error(self, write, capsys):
+        a = write("a.pat", "* 0\n")
+        b = write("b.pat", "*\n0\n")
+        assert run(["oracle", "pencil", a, b]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: pencil patterns differ: 1x2 vs 2x1\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("prop, files", [("minkowski", 2), ("rank", 1)])
     def test_tol_is_refused_where_it_does_nothing(self, write, capsys, prop, files):

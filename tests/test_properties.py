@@ -4,6 +4,7 @@ Hypothesis runs derandomized, without a deadline or an example database, so
 every run checks the same examples.
 """
 
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -27,6 +28,7 @@ from patmat import (
     refutation,
     refute_full_rank,
     sample_member,
+    strongly_nonsingular_square,
     verify_certificate,
     verify_refutation,
     vstack,
@@ -287,6 +289,49 @@ def test_elimination_matches_reference(pattern):
         rows, cols = stall
         residual = tuple(pattern.entries[i * pattern.cols + j] for i in rows for j in cols)
         assert pattern.submatrix(*stall).entries == residual
+
+
+# ---------------------------------------------------------------------------
+# the matching cross-check against permutation enumeration
+
+
+@st.composite
+def squares(draw, max_n=6):
+    """Random squares; about half are a permuted triangle with a * diagonal,
+    which has exactly one perfect matching, before a few entries flip."""
+    n = draw(st.integers(0, max_n))
+    weights = draw(st.sampled_from([(1, 1, 1), (6, 3, 1), (3, 1, 6)]))
+    rng = draw(st.randoms(use_true_random=False))
+    grid = [rng.choices(SYMBOLS, weights, k=n) for _ in range(n)]
+    if n and draw(st.booleans()):
+        rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+        for i in range(n):
+            for k in range(i):
+                grid[rows[i]][cols[k]] = ZERO
+            grid[rows[i]][cols[i]] = STAR
+        for _ in range(draw(st.integers(0, 2))):
+            grid[rng.randrange(n)][rng.randrange(n)] = rng.choice(SYMBOLS)
+    return PatternMatrix(n, n, tuple(s for row in grid for s in row))
+
+
+def _ref_strongly_nonsingular(pattern):
+    """Exactly one permutation has an all-nonzero support, and each entry on
+    it is *."""
+    n = pattern.rows
+    supports = [
+        perm
+        for perm in itertools.permutations(range(n))
+        if all(pattern[i, perm[i]] is not ZERO for i in range(n))
+    ]
+    return len(supports) == 1 and all(
+        pattern[i, supports[0][i]] is STAR for i in range(n)
+    )
+
+
+@settings(PROPERTY, max_examples=400)
+@given(squares())
+def test_matching_cross_check_matches_permutation_enumeration(pattern):
+    assert strongly_nonsingular_square(pattern) == _ref_strongly_nonsingular(pattern)
 
 
 # ---------------------------------------------------------------------------

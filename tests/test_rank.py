@@ -32,7 +32,7 @@ from patmat import (
 )
 from patmat import oracles, rank
 from patmat.oracles import pencil_agreement, pencil_refutation_witness, rank_soundness
-from patmat.symbols import STAR, ZERO
+from patmat.symbols import QUEST, STAR, ZERO
 
 from helpers import random_pattern, random_shape, shuffle_columns
 
@@ -230,13 +230,62 @@ class TestStronglyNonsingular:
             strongly_nonsingular_square(P("* 0"))
 
     def test_long_alternating_paths_do_not_recurse(self):
-        # lower bidiagonal: row i is nonzero in columns i-1 and i, so every
-        # augmenting search walks back through all earlier rows
+        # lower bidiagonal: row i is nonzero in columns i-1 and i, so the
+        # rows form one alternating chain, n long, that a recursive search
+        # would follow n calls deep
         n = 1200
         entries = tuple(
             STAR if j in (i - 1, i) else ZERO for i in range(n) for j in range(n)
         )
         assert strongly_nonsingular_square(PatternMatrix(n, n, entries))
+
+    @staticmethod
+    def _square(n, entry):
+        return PatternMatrix(
+            n, n, tuple(entry(i, j) for i in range(n) for j in range(n))
+        )
+
+    def test_all_quest_square_has_many_matchings(self):
+        assert not strongly_nonsingular_square(self._square(300, lambda i, j: QUEST))
+
+    def test_upper_triangular_star_square(self):
+        # column 0 meets row 0 only, then column 1 meets row 1 only, ...
+        upper = self._square(300, lambda i, j: STAR if j >= i else ZERO)
+        assert strongly_nonsingular_square(upper)
+
+    def test_reversed_bidiagonal(self):
+        # row i meets columns n-1-i and n-i: row 0 is forced onto the last
+        # column, then row 1 onto the one before, and so on
+        n = 400
+        reversed_bidiagonal = self._square(
+            n, lambda i, j: STAR if j in (n - 1 - i, n - i) else ZERO
+        )
+        assert strongly_nonsingular_square(reversed_bidiagonal)
+
+    def test_one_entry_closes_an_alternating_cycle(self):
+        # a permuted upper triangle: a * diagonal, a ? superdiagonal and
+        # random entries above it has exactly one perfect matching; any
+        # entry below the diagonal closes a cycle through the superdiagonal
+        rng = random.Random(13)
+        n = 200
+        rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+        grid = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            grid[rows[i]][cols[i]] = STAR
+            if i + 1 < n:
+                grid[rows[i]][cols[i + 1]] = QUEST
+            above = range(i + 2, n)
+            for j in rng.sample(above, min(3, len(above))):
+                grid[rows[i]][cols[j]] = rng.choice((STAR, QUEST))
+        planted = PatternMatrix(n, n, tuple(x for row in grid for x in row))
+        assert strongly_nonsingular_square(planted)
+        for _ in range(5):
+            i = rng.randrange(1, n)
+            k = rng.randrange(i)
+            grid[rows[i]][cols[k]] = rng.choice((STAR, QUEST))
+            closed = PatternMatrix(n, n, tuple(x for row in grid for x in row))
+            assert not strongly_nonsingular_square(closed)
+            grid[rows[i]][cols[k]] = ZERO
 
     def test_agrees_with_elimination_on_random_squares(self):
         rng = random.Random(47)
@@ -499,6 +548,24 @@ class TestPencil:
         assert pencil_full_rank(P("* 0"), P("0 *")).full_rank
         with pytest.raises(ValueError, match="must be at least 1"):
             pencil_agreement(P("* 0"), P("0 *"), trials=trials, lam_count=lam_count)
+
+    @pytest.mark.parametrize(
+        "a, b, trials",
+        [("* *\n* *", "0 0\n0 0", 1), ("* 0", "0 *", 3), ("*\n0", "0\n*", 3)],
+    )
+    def test_agreement_runs_one_elimination(self, eliminations, a, b, trials):
+        # the verdict and, for a deficient pencil, its witness come from one
+        # run; a full-rank pencil goes on to sampling
+        result = pencil_agreement(P(a), P(b), trials=3, lam_count=2)
+        assert result.ok and result.trials == trials
+        assert len(eliminations) == 1
+
+    def test_agreement_shape_mismatch_names_the_pencil(self):
+        message = r"^pencil patterns differ: 1x1 vs 1x2$"
+        with pytest.raises(DimensionError, match=message):
+            pencil_agreement(P("*"), P("* 0"))
+        with pytest.raises(DimensionError, match=message):
+            pencil_refutation_witness(P("*"), P("* 0"))
 
     def test_deficient_pencil_runs_no_exact_rank(self, monkeypatch):
         # the witness's left null vector, checked where it is built, proves

@@ -33,6 +33,7 @@ from patmat import (
     vstack,
 )
 from patmat.oracles import (
+    OracleResult,
     iso_deficiency_witness,
     iso_stacked_rank_check,
     output_ctrl_sampling,
@@ -364,6 +365,19 @@ class TestCheckOutputControllability:
             result = output_ctrl_sampling(system, trials=100, seed=checked)
             assert result.ok, result
             checked += 1
+
+    def test_sampling_that_checks_nothing_does_not_pass(self):
+        system = StructuredIOSystem(P("0"), P("0"), P("*"), P("0"))
+        assert check_output_controllability(system).verdict is Verdict.INCONCLUSIVE
+        result = output_ctrl_sampling(system)
+        assert (result.trials, result.passes) == (0, 0)
+        assert result.detail == "verdict not Holds; nothing to check"
+        assert not result.ok
+
+    def test_ok_needs_at_least_one_trial(self):
+        assert not OracleResult("x", 0, 0).ok
+        assert OracleResult("x", 2, 2).ok
+        assert not OracleResult("x", 2, 1).ok
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_sampling_counts_below_one_are_rejected(self, trials):
