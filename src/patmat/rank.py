@@ -275,13 +275,15 @@ def strongly_nonsingular_square(pattern: PatternMatrix) -> bool:
     adj = [ones(mask) for mask in pattern.nz]
     match_col = [-1] * n  # column -> matched row
     match_row = [-1] * n  # row -> matched column
+    searched_by = [-1] * n  # column -> the last root whose search reached it
+    reached_from = [-1] * n  # column -> the row that search reached it from
     for root in range(n):
-        reached_from = [-1] * n  # column -> the row the search reached it from
         queue = [root]
         free = -1
         for r in queue:
             for c in adj[r]:
-                if reached_from[c] < 0:
+                if searched_by[c] != root:
+                    searched_by[c] = root
                     reached_from[c] = r
                     if match_col[c] < 0:
                         free = c

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DimensionError
-from .pattern import PatternMatrix, hstack, identity_pattern, vstack
+from .pattern import PatternMatrix, hstack, identity_pattern, ones, vstack
 from .rank import (
     RankVerdict,
     _Elimination,
@@ -29,6 +29,7 @@ from .realization import (
     derive_seed,
     sample_member,
 )
+from .symbols import QUEST
 
 __all__ = [
     "Verdict",
@@ -232,12 +233,42 @@ def check_iso(system: StructuredIOSystem) -> AnalysisReport:
 
 def _output_ctrl_blocks(system: StructuredIOSystem):
     """The blocks D, CB, CAB, CA^2B, ... without end; each product is
-    computed only when its block is asked for."""
+    computed only when its block is asked for.
+
+    When every diagonal entry of A is ?, each power C A^(k+1) follows from
+    C A^k row by row: the term L[i,j] A[j,j] turns every nonzero into ?, and
+    a column first turns nonzero only from the row's frontier, the columns
+    that turned nonzero at the last power.  A new entry is * when exactly
+    one frontier column reaches it and both factors are *.
+    """
+    a, b = system.A, system.B
     yield system.D
     left = system.C
+    if any(a[i, i] is not QUEST for i in range(a.rows)):
+        while True:
+            yield left @ b
+            left = left @ a
+    a_nz, a_star = a.nz, a.star
+    nz, star = list(left.nz), list(left.star)
+    frontier = list(nz)
     while True:
-        yield left @ system.B
-        left = left @ system.A
+        yield left @ b
+        for i, front in enumerate(frontier):
+            if not front:  # nothing can turn nonzero, and no * is left
+                continue
+            reached = twice = starred = 0
+            s = star[i]
+            for k in ones(front):
+                row = a_nz[k]
+                twice |= reached & row
+                reached |= row
+                if s >> k & 1:
+                    starred |= a_star[k]
+            new = reached & ~nz[i]
+            nz[i] |= new
+            star[i] = new & starred & ~twice
+            frontier[i] = new
+        left = PatternMatrix.from_masks(left.rows, left.cols, nz, star)
 
 
 def build_output_ctrl_pattern(

@@ -289,6 +289,23 @@ class TestTargetControllability:
         assert last.verdict.stall.rows == (2, 3)
         assert last.verdict.stall.cols == (0, *range(2, 150), *range(151, n + 1))
 
+    def test_thousand_vertex_twin_leaf_path_with_many_targets(self):
+        # the path 0 -> ... -> 997 with twin leaves 998 and 999 of vertex 499;
+        # targets 0, 10, ..., 490 each pivot in the block of their distance,
+        # while 500 and the twins turn nonzero in the same block, and every
+        # later target meets their ? entries, so rows 50 to 101 stall
+        n = 1000
+        edges = [(v, v + 1) for v in range(n - 3)] + [(499, n - 2), (499, n - 1)]
+        graph = DirectedGraph.from_edges(n, edges)
+        targets = (*range(0, n - 2, 10), n - 2, n - 1)
+        report = check_target_controllability(NetworkProblem(graph, (0,), targets))
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert len(report.conditions) == n + 1
+        last = report.conditions[-1]
+        assert last.shape == (102, n + 1)
+        assert last.verdict.pivots == tuple((i, 10 * i + 1) for i in range(50))
+        assert last.verdict.stall.rows == tuple(range(50, 102))
+
 
 class TestScalingReduction:
     def test_binary_and_starred_selector_ranks_agree(self):

@@ -18,11 +18,13 @@ from patmat import (
     RealizationMatrix,
     ValueDistribution,
     Verdict,
+    build_output_ctrl_pattern,
     check_output_controllability,
     contains,
     decompose_sum,
     full_row_rank,
     hstack,
+    identity_pattern,
     numeric_rank,
     parse_pattern_text,
     refutation,
@@ -406,6 +408,50 @@ def io_systems(draw):
 @example(_io_system(Random(2), 6, 0, 3, (1, 1, 1)))
 @example(_io_system(Random(3), 0, 2, 3, (1, 1, 1)))
 def test_output_controllability_matches_prefix_reference(system):
+    report = check_output_controllability(system)
+    assert (report.verdict, report.conditions) == _ref_output_controllability(system)
+
+
+@st.composite
+def quest_diagonal_systems(draw):
+    """Random (A, B, C, D) with n from 1 to 12 states and p from 1 to 5
+    outputs.  A's diagonal is set all ? in four draws of five, as in a
+    network's qualitative pattern, and otherwise left as drawn.  B is the
+    identity in half the draws, so that the blocks are the powers C A^k
+    themselves, and has 1 to 3 random columns otherwise.  D is random in
+    half the draws and zero otherwise."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.integers(1, 5))
+    weights = draw(WEIGHTS)
+    rng = draw(st.randoms(use_true_random=True))
+    a = _grid(rng, n, n, weights)
+    if draw(st.integers(0, 4)):
+        a = PatternMatrix.from_masks(
+            n, n,
+            [mask | 1 << i for i, mask in enumerate(a.nz)],
+            [mask & ~(1 << i) for i, mask in enumerate(a.star)],
+        )
+    if draw(st.booleans()):
+        b = identity_pattern(n)
+    else:
+        b = _grid(rng, n, draw(st.integers(1, 3)), weights)
+    c = _grid(rng, p, n, weights)
+    d = PatternMatrix.zeros(p, b.cols)
+    if draw(st.booleans()):
+        d = _grid(rng, p, b.cols, weights)
+    return StructuredIOSystem(a, b, c, d)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(quest_diagonal_systems())
+def test_output_ctrl_blocks_match_repeated_products(system):
+    # the blocks come from A's row masks when its diagonal is all ?, and
+    # from `left @ A` otherwise; both must equal the plain powers
+    blocks, left = [system.D], system.C
+    for _ in range(system.n):
+        blocks.append(left @ system.B)
+        left = left @ system.A
+    assert build_output_ctrl_pattern(system, system.n - 1) == hstack(blocks)
     report = check_output_controllability(system)
     assert (report.verdict, report.conditions) == _ref_output_controllability(system)
 

@@ -290,6 +290,40 @@ class TestBuildOutputCtrlPattern:
             built = build_output_ctrl_pattern(system, n - 1)
             assert built.shape == (p, m * (n + 1))
 
+    @pytest.mark.parametrize(
+        "a_23, powers",
+        [
+            # column 3 is reached from both frontier columns 1 and 2: ?
+            ("*", ["* 0 0 0", "? * * 0", "? ? ? ?"]),
+            # column 3 is reached from column 1 alone, both factors *: *
+            ("0", ["* 0 0 0", "? * * 0", "? ? ? *"]),
+        ],
+    )
+    def test_quest_diagonal_powers_grow_from_the_frontier(self, a_23, powers):
+        a = P(f"? * * 0\n0 ? 0 *\n0 0 ? {a_23}\n0 0 0 ?")
+        system = StructuredIOSystem(
+            a, identity_pattern(4), P("* 0 0 0"), PatternMatrix.zeros(1, 4)
+        )
+        built = build_output_ctrl_pattern(system, 2)
+        assert built == P(" ".join(["0 0 0 0", *powers]))
+
+    @pytest.mark.parametrize("diagonal, products_with_a", [("?", 0), ("*", 3)])
+    def test_quest_diagonal_forms_no_product_with_a(
+        self, monkeypatch, diagonal, products_with_a
+    ):
+        a = P(f"{diagonal} * 0 0\n0 ? * 0\n0 0 ? *\n* 0 0 ?")
+        system = StructuredIOSystem(a, P("*\n0\n0\n0"), P("0 0 0 *"), P("0"))
+        right_factors = []
+        product = PatternMatrix.__matmul__
+
+        def recorded(left, right):
+            right_factors.append(right)
+            return product(left, right)
+
+        monkeypatch.setattr(PatternMatrix, "__matmul__", recorded)
+        assert build_output_ctrl_pattern(system, 3) == P("0 0 * ? ?")
+        assert sum(f is a for f in right_factors) == products_with_a
+
     def test_power_bounds(self):
         system = StructuredIOSystem(
             P("?"), P("*"), P("*"), P("0")
