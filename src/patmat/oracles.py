@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionError
@@ -78,8 +79,14 @@ def _sums_to(
 ) -> bool:
     """left + right == total for exact (int or Fraction) entries, without
     building the sum: where one part is the int 0 that decompose_sum puts
-    there, the other part is compared, and an entry equals itself."""
+    there, the other part is compared, and an entry equals itself.  Equal
+    Fraction halves of a Fraction entry are compared as 2x == value on
+    integers, which builds no Fraction."""
     for x, y, value in zip(left.entries, right.entries, total.entries):
+        if x is y and type(x) is Fraction and type(value) is Fraction:
+            if 2 * x.numerator * value.denominator != value.numerator * x.denominator:
+                return False
+            continue
         if type(x) is int and not x:
             x = y
         elif not (type(y) is int and not y):
@@ -269,8 +276,8 @@ def iso_stacked_rank_check(
         rc = sample_member(system.C, _dist(seed, 4 * t + 2))
         rd = sample_member(system.D, _dist(seed, 4 * t + 3))
         base = RealizationMatrix.from_rows(
-            [ra.row(i) + rb.row(i) for i in range(n)]
-            + [rc.row(i) + rd.row(i) for i in range(p)]
+            [x + y for x, y in zip(ra.to_rows(), rb.to_rows())]
+            + [x + y for x, y in zip(rc.to_rows(), rd.to_rows())]
         )
         bad = _first_deficient_lambda(base, shift, lambdas, n + m, tol)
         if bad is None:

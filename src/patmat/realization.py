@@ -74,7 +74,10 @@ class RealizationMatrix:
         return (self.rows, self.cols)
 
     def to_rows(self) -> list[list]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        # one walk over the entries: a tuple slice per row parks tuples on
+        # CPython's free lists
+        values = iter(self.entries)
+        return [list(islice(values, self.cols)) for _ in range(self.rows)]
 
     def __add__(self, other: "RealizationMatrix") -> "RealizationMatrix":
         if not isinstance(other, RealizationMatrix):
@@ -111,10 +114,10 @@ class RealizationMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by"
                 f" {other.rows}x{other.cols}"
             )
-        columns = [other.entries[j :: other.cols] for j in range(other.cols)]
+        values = list(other.entries)  # list slices, not parked tuple slices
+        columns = [values[j :: other.cols] for j in range(other.cols)]
         out = []
-        for i in range(self.rows):
-            ri = self.row(i)
+        for ri in self.to_rows():
             for cj in columns:
                 out.append(sum(map(operator.mul, ri, cj)))
         return RealizationMatrix(self.rows, other.cols, tuple(out))
@@ -148,12 +151,10 @@ class RealizationMatrix:
         """Entries rendered as exact rational strings, e.g. '3/2'."""
         if not self.is_exact():
             raise ValueError("matrix has non-rational entries")
-        return [
-            [str(Fraction(e)) for e in self.row(i)] for i in range(self.rows)
-        ]
+        return [[str(Fraction(e)) for e in row] for row in self.to_rows()]
 
     def __str__(self) -> str:
-        return "\n".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
+        return "\n".join(" ".join([str(e) for e in row]) for row in self.to_rows())
 
 
 @dataclass(frozen=True)
@@ -211,9 +212,45 @@ def contains(pattern: PatternMatrix, matrix: RealizationMatrix, tol=0) -> bool:
     return True
 
 
-# sign * k -> Fraction(sign * k, 64): every nonzero value sample_member draws
-_GRID = {k: Fraction(k, 64) for k in range(-128, 129) if 32 <= abs(k)}
+def _halve(value):
+    if isinstance(value, int):
+        return Fraction(value, 2)
+    if type(value) is Fraction:  # a third cheaper than value / 2
+        return Fraction(value.numerator, 2 * value.denominator)
+    return value / 2
+
+
+# sign * k / 64 for k = 32..128, indexed by k - 32: every nonzero value
+# sample_member draws, shared by every call
+_POSITIVE = tuple([Fraction(k, 64) for k in range(32, 129)])
+_NEGATIVE = tuple([-v for v in _POSITIVE])
 _ZERO = Fraction(0)
+# id of each grid value -> its half.  The two tables above keep every keyed
+# value alive, so no other object can take one of these ids.
+_HALVES = {id(v): _halve(v) for v in _POSITIVE + _NEGATIVE}
+
+
+def _sample_row(nz: int, star: int, cols: int, draw, bits, quest_zero: float) -> list:
+    """One row of sample_member, drawing from draw = random and
+    bits = getrandbits of one random.Random.
+
+    randint(32, 128) is 32 + bits(7), drawn again while bits(7) >= 97, and
+    choice((1, -1)) is index bits(2), drawn again while bits(2) >= 2: this
+    is random.Random._randbelow_with_getrandbits, so the stream is the one
+    those two calls consume."""
+    row = [_ZERO] * cols
+    while nz:
+        low = nz & -nz
+        nz ^= low
+        if star & low or draw() >= quest_zero:
+            k = bits(7)
+            while k >= 97:
+                k = bits(7)
+            sign = bits(2)
+            while sign >= 2:
+                sign = bits(2)
+            row[low.bit_length() - 1] = _NEGATIVE[k] if sign else _POSITIVE[k]
+    return row
 
 
 def sample_member(pattern: PatternMatrix, dist: ValueDistribution) -> RealizationMatrix:
@@ -223,29 +260,18 @@ def sample_member(pattern: PatternMatrix, dist: ValueDistribution) -> Realizatio
     draws nothing and is Fraction(0).  A ? entry draws random() and is
     Fraction(0) below quest_zero_probability.  Every other ? and every * is
     sign * k / 64, with k = randint(32, 128) drawn before
-    sign = choice((1, -1)).  The values are shared Fractions from one
-    module-level table.  A seed gives the same member across versions only
-    while this order of calls is kept.
+    sign = choice((1, -1)); _sample_row makes those two calls through
+    getrandbits.  The values are shared Fractions from two module-level
+    tables, one per sign.  A seed gives the same member across versions only while this
+    order of calls is kept.
     """
     rng = random.Random(dist.seed)
-    draw, randint, choice = rng.random, rng.randint, rng.choice
-    quest_zero = dist.quest_zero_probability
+    draw, bits = rng.random, rng.getrandbits
+    quest_zero, cols = dist.quest_zero_probability, pattern.cols
     entries = []
     for n, s in zip(pattern.nz, pattern.star):
-        for j in range(pattern.cols):
-            if not n >> j & 1 or not s >> j & 1 and draw() < quest_zero:
-                entries.append(_ZERO)
-            else:
-                entries.append(_GRID[randint(32, 128) * choice((1, -1))])
-    return RealizationMatrix(pattern.rows, pattern.cols, tuple(entries))
-
-
-def _halve(value):
-    if isinstance(value, int):
-        return Fraction(value, 2)
-    if type(value) is Fraction:  # a third cheaper than value / 2
-        return Fraction(value.numerator, 2 * value.denominator)
-    return value / 2
+        entries += _sample_row(n, s, cols, draw, bits, quest_zero)
+    return RealizationMatrix(pattern.rows, cols, tuple(entries))
 
 
 def decompose_sum(
@@ -275,12 +301,15 @@ def decompose_sum(
         )
     values = iter(total.entries)  # a slice per row parks tuples on free lists
     left, right = [], []
+    halves = _HALVES.get
     for i, (an, ast, bn, bst) in enumerate(zip(a.nz, a.star, b.nz, b.star)):
         both, stars = an & bn, ast | bst  # a * outside `both` makes a + b *
         for j, value in enumerate(islice(values, a.cols)):
             bit = 1 << j
             if both & bit:  # both in {*, ?}: halves, or a cancelling pair
-                x, y = (_halve(value),) * 2 if value else (-1, 1)
+                x = y = halves(id(value))
+                if x is None:
+                    x, y = (_halve(value),) * 2 if value else (-1, 1)
             elif not value and stars & bit:
                 raise MembershipError(
                     f"entry ({i}, {j}) = 0 but the sum pattern is *", i, j

@@ -19,7 +19,8 @@ from patmat import (
     sample_member,
 )
 
-from patmat.oracles import minkowski_roundtrip
+from patmat.oracles import _sums_to, minkowski_roundtrip
+from patmat.realization import _HALVES, _NEGATIVE, _POSITIVE, _sample_row
 from patmat.symbols import QUEST, STAR
 
 from helpers import random_pattern, random_shape
@@ -132,6 +133,28 @@ class TestSampleMember:
             assert member.entries == tuple(Fraction(v) for v in values.split())
             assert all(type(e) is Fraction for e in member.entries)
 
+    def test_draw_kernel_matches_randint_and_choice(self):
+        # _sample_row draws through getrandbits; a twin generator making the
+        # documented calls must give the same value and be left in the same
+        # state, which the next random() of each shows
+        for seed in range(2000):
+            kernel, twin = random.Random(seed), random.Random(seed)
+            (value,) = _sample_row(1, 1, 1, kernel.random, kernel.getrandbits, 0.25)
+            k = twin.randint(32, 128)
+            sign = twin.choice((1, -1))
+            # the value is one of the shared grid Fractions, the halves' keys
+            assert value == Fraction(sign * k, 64) and id(value) in _HALVES
+            assert kernel.random() == twin.random()
+            # a ? entry draws random() first and is zero below the probability
+            (value,) = _sample_row(1, 0, 1, kernel.random, kernel.getrandbits, 0.25)
+            if twin.random() < 0.25:
+                assert value == 0 and type(value) is Fraction
+            else:
+                k = twin.randint(32, 128)
+                sign = twin.choice((1, -1))
+                assert value == Fraction(sign * k, 64) and id(value) in _HALVES
+            assert kernel.random() == twin.random()
+
     def test_distribution_validation(self):
         for q in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError):
@@ -176,6 +199,41 @@ class TestDecomposeSum:
             assert contains(a, left, 0)
             assert contains(b, right, 0)
             assert left + right == member
+
+    def test_halves_table_covers_the_grid(self):
+        grid = _POSITIVE + _NEGATIVE
+        assert len(_HALVES) == len(set(grid)) == 194
+        for v in grid:
+            half = _HALVES[id(v)]
+            assert type(half) is Fraction and half == Fraction(v, 2)
+
+    def test_values_outside_the_table_are_halved_as_before(self):
+        v = _NEGATIVE[75 - 32]
+        copy = Fraction(v.numerator, v.denominator)
+        assert copy is not v and id(copy) not in _HALVES
+        cases = [
+            (v, Fraction(-75, 128)),
+            (copy, Fraction(-75, 128)),
+            (5, Fraction(5, 2)),
+            (0.75, 0.375),
+        ]
+        for value, half in cases:
+            left, right = decompose_sum(R([[value]]), P("?"), P("*"))
+            for part in (left, right):
+                (x,) = part.entries
+                assert x == half and type(x) is type(half)
+
+    def test_sum_check_on_shared_halves(self):
+        total = R([[Fraction(3, 4), 3, Fraction(-5, 8)]])
+        halves = R([[Fraction(3, 8), Fraction(3, 2), Fraction(-5, 16)]])
+        assert _sums_to(halves, halves, total)
+        for wrong in (Fraction(3, 4), Fraction(3, 16), Fraction(-3, 8)):
+            bad = R([[wrong, Fraction(3, 2), Fraction(-5, 16)]])
+            assert not _sums_to(bad, bad, total)
+        # an int sum entry takes the Fraction sum: same answer as left + right
+        for half in (Fraction(3, 2), Fraction(1, 2), Fraction(3, 4)):
+            left = R([[Fraction(3, 8), half, Fraction(-5, 16)]])
+            assert _sums_to(left, left, total) is (left + left == total)
 
     def test_membership_violation_names_entry(self):
         with pytest.raises(MembershipError, match=r"\(0, 1\)") as info:
