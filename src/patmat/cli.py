@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import warnings
@@ -88,7 +89,10 @@ def _oracle_options(args) -> dict:
         raise ValueError("--trials must be at least 1")
     options = {"trials": args.trials, "seed": args.seed}
     if args.property == "pencil":
-        options["tol"] = _PENCIL_TOL if args.tol is None else args.tol
+        tol = _PENCIL_TOL if args.tol is None else args.tol
+        if not 0 <= tol < math.inf:
+            raise ValueError("--tol must be finite and at least 0")
+        options["tol"] = tol
     elif args.tol is not None:
         raise ValueError(f"oracle {args.property} takes no --tol")
     return options

@@ -11,7 +11,7 @@ Vertices are numbered 1..n in files and command lines, 0..n-1 internally.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import TextParseError, VertexRangeError
@@ -115,9 +115,7 @@ def check_target_controllability(problem: NetworkProblem) -> AnalysisReport:
         f"target controllability of {len(problem.targets)} targets from"
         f" {len(problem.leaders)} leaders; " + report.notes
     )
-    return AnalysisReport(
-        report.property, report.verdict, report.conditions, notes
-    )
+    return replace(report, notes=notes)
 
 
 def parse_graph(text: str) -> DirectedGraph:

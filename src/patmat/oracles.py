@@ -211,7 +211,7 @@ def pencil_agreement(
     deficient = (
         contains(a, left, 0)
         and contains(b, right, 0)
-        and left - right.scaled(-1) == total
+        and _sums_to(left, right, total)
     )
     return OracleResult(
         "pencil", 1, 1 if deficient else 0,

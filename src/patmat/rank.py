@@ -328,6 +328,8 @@ def numeric_rank(matrix: RealizationMatrix, tol=0) -> int:
     """
     if tol < 0:
         raise ValueError("negative tolerance")
+    if tol != tol:
+        raise ValueError("NaN tolerance")
     if matrix.rows == 0 or matrix.cols == 0:
         return 0
     if tol == 0 and matrix.is_exact():

@@ -193,6 +193,8 @@ def contains(pattern: PatternMatrix, matrix: RealizationMatrix, tol=0) -> bool:
     """
     if tol < 0:
         raise ValueError("negative tolerance")
+    if tol != tol:
+        raise ValueError("NaN tolerance")
     if pattern.shape != matrix.shape:
         raise DimensionError(
             f"pattern {pattern.rows}x{pattern.cols} vs matrix"

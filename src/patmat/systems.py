@@ -16,19 +16,7 @@ from typing import Optional
 
 from .errors import DimensionError
 from .pattern import PatternMatrix, hstack, identity_pattern, ones, vstack
-from .rank import (
-    RankVerdict,
-    _Elimination,
-    full_column_rank,
-    full_row_rank,
-    numeric_rank,
-)
-from .realization import (
-    RealizationMatrix,
-    ValueDistribution,
-    derive_seed,
-    sample_member,
-)
+from .rank import RankVerdict, _Elimination, full_column_rank, full_row_rank
 from .symbols import QUEST
 
 __all__ = [
@@ -43,8 +31,6 @@ __all__ = [
     "check_iso",
     "build_output_ctrl_pattern",
     "check_output_controllability",
-    "member_is_regular",
-    "regularity_diagnostic",
 ]
 
 
@@ -320,34 +306,3 @@ def check_output_controllability(system: StructuredIOSystem) -> AnalysisReport:
     return AnalysisReport(
         SystemProperty.OUTPUT_CONTROLLABILITY, verdict, tuple(conditions), notes=notes
     )
-
-
-def member_is_regular(e: RealizationMatrix, a: RealizationMatrix) -> bool:
-    """Exact regularity test for a member pair: lambda*E - A is invertible
-    for some lambda iff its determinant polynomial is not identically zero,
-    decided by evaluating at n + 1 integer points."""
-    if e.shape != a.shape or e.rows != e.cols:
-        raise DimensionError("E and A must be square of equal size")
-    n = e.rows
-    if n == 0:
-        return True
-    for lam in range(n + 1):
-        if numeric_rank(e.scaled(lam) - a, 0) == n:
-            return True
-    return False
-
-
-def regularity_diagnostic(
-    system: StructuredDescriptorSystem, trials: int = 50, seed: int = 0
-) -> tuple[int, int]:
-    """Sampling diagnostic: how many sampled (E, A) member pairs are
-    regular.  Informational only; no structural regularity test exists here."""
-    regular = 0
-    for t in range(trials):
-        e = sample_member(system.E, ValueDistribution(seed=derive_seed(seed, 2 * t)))
-        a = sample_member(
-            system.A, ValueDistribution(seed=derive_seed(seed, 2 * t + 1))
-        )
-        if member_is_regular(e, a):
-            regular += 1
-    return regular, trials

@@ -269,6 +269,18 @@ class TestOracleCommand:
         assert run(argv) == 0
         assert json.loads(report.read_text())["options"]["tol"] == 1e-9
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_outside_zero_to_inf_is_input_error(self, tmp_path, capsys, tol):
+        # refused before any pattern file is read: these files do not exist
+        missing = [str(tmp_path / f"missing{k}.pat") for k in range(2)]
+        report = tmp_path / "r.json"
+        argv = ["oracle", "pencil", *missing, "--tol", tol, "--json", str(report)]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: --tol must be finite and at least 0\n"
+        assert captured.out == ""
+        assert not report.exists()
+
     def test_wrong_arity_is_input_error(self, write, capsys):
         p = write("p.pat", "*\n")
         assert run(["oracle", "minkowski", p]) == 3

@@ -26,7 +26,7 @@ def test_no_duplicates():
 def test_all_is_the_concatenation_of_the_module_lists():
     expected = [name for mod in MODULES for name in module(mod).__all__]
     assert patmat.__all__ == expected
-    assert len(expected) == 52
+    assert len(expected) == 50
 
 
 @pytest.mark.parametrize("mod", MODULES)

@@ -327,8 +327,13 @@ class TestNumericRank:
         assert numeric_rank(RealizationMatrix(0, 0, ()), 0) == 0
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative tolerance"):
             numeric_rank(R([[1]]), -0.5)
+        # under NaN every comparison is False, so no pivot would count as zero
+        with pytest.raises(ValueError, match="NaN tolerance"):
+            numeric_rank(R([[1.0, 2.0], [2.0, 4.0]]), float("nan"))
+        # an infinite tolerance stays valid: every entry counts as zero
+        assert numeric_rank(R([[1.0, 2.0], [2.0, 5.0]]), float("inf")) == 0
 
 
 class TestRefutation:

@@ -53,8 +53,11 @@ class TestContains:
             contains(P("* 0"), R([[1], [0]]), 0)
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative tolerance"):
             contains(P("*"), R([[1]]), -1)
+        # under NaN every comparison is False, so any matrix would be a member
+        with pytest.raises(ValueError, match="NaN tolerance"):
+            contains(P("* 0\n0 *"), R([[0, 5], [7, 0]]), float("nan"))
 
 
 class TestSampleMember:

@@ -24,10 +24,8 @@ from patmat import (
     full_row_rank,
     hstack,
     identity_pattern,
-    member_is_regular,
     numeric_rank,
     refutation,
-    regularity_diagnostic,
     sample_member,
     verify_refutation,
     vstack,
@@ -419,36 +417,3 @@ class TestCheckOutputControllability:
         assert check_output_controllability(system).verdict is Verdict.HOLDS
         with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
             output_ctrl_sampling(system, trials=trials)
-
-
-class TestRegularity:
-    def test_identity_e_is_always_regular(self):
-        system = StructuredDescriptorSystem(
-            identity_pattern(3), P("? ? ?\n? ? ?\n? ? ?"), P("*\n*\n*")
-        )
-        regular, total = regularity_diagnostic(system, trials=20)
-        assert (regular, total) == (20, 20)
-
-    def test_zero_pencil_is_never_regular(self):
-        system = StructuredDescriptorSystem(
-            PatternMatrix.zeros(2, 2), PatternMatrix.zeros(2, 2), P("*\n*")
-        )
-        regular, total = regularity_diagnostic(system, trials=10)
-        assert (regular, total) == (0, 10)
-
-    def test_member_level_decision(self):
-        assert member_is_regular(R([[1, 0], [0, 1]]), R([[0, 0], [0, 0]]))
-        assert not member_is_regular(
-            R([[1, 0], [0, 0]]), R([[1, 0], [0, 0]])
-        )
-        # singular E with regular pencil
-        assert member_is_regular(R([[1, 0], [0, 0]]), R([[0, 1], [1, 0]]))
-
-    @pytest.mark.parametrize(
-        "e, a",
-        [([[1, 0]], [[1, 0]]), ([[1]], [[1, 0], [0, 1]])],
-        ids=["wide", "unequal"],
-    )
-    def test_member_level_shape_validation(self, e, a):
-        with pytest.raises(DimensionError, match="square of equal size"):
-            member_is_regular(R(e), R(a))
