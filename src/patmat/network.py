@@ -30,14 +30,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DirectedGraph:
-    """Vertex count plus a set of directed edges (u, v) meaning u -> v,
-    both 0-based.  Self-loops may be stored; they do not affect the
+    """Vertex count plus a frozenset of directed edges (u, v) meaning
+    u -> v, both 0-based.  Self-loops may be stored; they do not affect the
     qualitative pattern, whose diagonal is always ?."""
 
     n: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        object.__setattr__(self, "edges", frozenset(self.edges))
         if self.n < 0:
             raise ValueError(f"negative vertex count {self.n}")
         for u, v in self.edges:
@@ -48,7 +49,7 @@ class DirectedGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
-        return cls(n, frozenset(edges))
+        return cls(n, edges)
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,36 @@ def _sums_to(
     return True
 
 
+def _run_trials(name: str, trials: int, trial, detail: str) -> OracleResult:
+    """Run trial(t) for t = 0, ..., trials - 1 in order; trial returns None
+    on a pass and its counterexample dict on a failure.  The first
+    counterexample is kept; detail is formatted with passes and trials."""
+    passes = 0
+    counterexample = None
+    for t in range(trials):
+        failure = trial(t)
+        if failure is None:
+            passes += 1
+        elif counterexample is None:
+            counterexample = failure
+    return OracleResult(
+        name, trials, passes, counterexample,
+        detail.format(passes=passes, trials=trials),
+    )
+
+
+def _is_split(a: PatternMatrix, b: PatternMatrix, parts: tuple) -> bool:
+    """parts = (left, right, total): left is a member of a, right one of b,
+    and left + right == total."""
+    return contains(a, parts[0], 0) and contains(b, parts[1], 0) and _sums_to(*parts)
+
+
+def _sample_system(system: StructuredIOSystem, seed: int, t: int) -> list:
+    """Members of A, B, C and D for trial t, drawn in that order."""
+    patterns = (system.A, system.B, system.C, system.D)
+    return [sample_member(x, _dist(seed, 4 * t + k)) for k, x in enumerate(patterns)]
+
+
 def minkowski_roundtrip(
     a: PatternMatrix, b: PatternMatrix, trials: int = 1000, seed: int = 0
 ) -> OracleResult:
@@ -103,22 +133,15 @@ def minkowski_roundtrip(
     decompose_sum; the parts must be members and must sum back exactly."""
     _require_counts(trials=trials)
     total = a + b
-    passes = 0
-    counterexample = None
-    for t in range(trials):
+
+    def trial(t: int) -> Optional[dict]:
         member = sample_member(total, _dist(seed, t, _QUEST_PROBS[t % 3]))
-        left, right = decompose_sum(member, a, b)
-        if (
-            contains(a, left, 0)
-            and contains(b, right, 0)
-            and _sums_to(left, right, member)
-        ):
-            passes += 1
-        elif counterexample is None:
-            counterexample = {"trial": t, "member": member.to_rows()}
-    return OracleResult(
-        "minkowski", trials, passes, counterexample,
-        f"{passes}/{trials} decompositions verified",
+        if _is_split(a, b, (*decompose_sum(member, a, b), member)):
+            return None
+        return {"trial": t, "member": member.to_rows()}
+
+    return _run_trials(
+        "minkowski", trials, trial, "{passes}/{trials} decompositions verified"
     )
 
 
@@ -140,15 +163,17 @@ def _first_deficient_lambda(
     lambdas: list[complex],
     needed: int,
     tol: float,
-) -> Optional[complex]:
-    """First lambda at which numeric_rank(m - lambda*e, tol) < needed, or
-    None.  Both members are converted to complex once, not once per lambda."""
+    t: int,
+) -> Optional[dict]:
+    """Counterexample of trial t at the first lambda where
+    numeric_rank(m - lambda*e, tol) < needed, or None.  Both members are
+    converted to complex once, not once per lambda."""
     m_values = [complex(x) for x in m.entries]
     e_values = [complex(x) for x in e.entries]
     for lam in lambdas:
         shifted = tuple(x - lam * y for x, y in zip(m_values, e_values))
         if numeric_rank(RealizationMatrix(m.rows, m.cols, shifted), tol) < needed:
-            return lam
+            return {"trial": t, "lambda": repr(lam)}
     return None
 
 
@@ -193,29 +218,20 @@ def pencil_agreement(
     if parts is None:
         expected = min(a.rows, a.cols)
         lambdas = sample_lambdas(lam_count, seed)
-        passes = 0
-        counterexample = None
-        for t in range(trials):
+
+        def trial(t: int) -> Optional[dict]:
             ra = sample_member(a, _dist(seed, 2 * t))
             rb = sample_member(b, _dist(seed, 2 * t + 1))
-            bad = _first_deficient_lambda(ra, rb, lambdas, expected, tol)
-            if bad is None:
-                passes += 1
-            elif counterexample is None:
-                counterexample = {"trial": t, "lambda": repr(bad)}
-        return OracleResult(
-            "pencil", trials, passes, counterexample,
-            f"verdict full rank; {passes}/{trials} sampled pencils full rank",
+            return _first_deficient_lambda(ra, rb, lambdas, expected, tol, t)
+
+        return _run_trials(
+            "pencil", trials, trial,
+            "verdict full rank; {passes}/{trials} sampled pencils full rank",
         )
-    left, right, total = parts
-    deficient = (
-        contains(a, left, 0)
-        and contains(b, right, 0)
-        and _sums_to(left, right, total)
-    )
+    deficient = _is_split(a, b, parts)
     return OracleResult(
         "pencil", 1, 1 if deficient else 0,
-        None if deficient else {"witness": total.to_rows()},
+        None if deficient else {"witness": parts[2].to_rows()},
         "verdict not full rank; exact deficient witness at lambda=-1",
     )
 
@@ -228,19 +244,15 @@ def rank_soundness(
     _require_counts(trials=trials)
     verdict = refutation(pattern)  # raises RuntimeError unless its null vector checks
     if verdict.full_rank:
-        passes = 0
-        counterexample = None
-        for t in range(trials):
-            member = sample_member(
-                pattern, _dist(seed, t, _QUEST_PROBS[t % 3])
-            )
+        def trial(t: int) -> Optional[dict]:
+            member = sample_member(pattern, _dist(seed, t, _QUEST_PROBS[t % 3]))
             if numeric_rank(member, 0) == pattern.rows:
-                passes += 1
-            elif counterexample is None:
-                counterexample = {"trial": t, "member": member.to_rows()}
-        return OracleResult(
-            "rank", trials, passes, counterexample,
-            f"verdict full row rank; {passes}/{trials} samples at full rank",
+                return None
+            return {"trial": t, "member": member.to_rows()}
+
+        return _run_trials(
+            "rank", trials, trial,
+            "verdict full row rank; {passes}/{trials} samples at full rank",
         )
     return OracleResult(
         "rank", 1, 1, None,
@@ -268,25 +280,18 @@ def iso_stacked_rank_check(
         [[int(i == j) for j in range(n + m)] for i in range(n)]
         + [[0] * (n + m) for _ in range(p)]
     )
-    passes = 0
-    counterexample = None
-    for t in range(members):
-        ra = sample_member(system.A, _dist(seed, 4 * t))
-        rb = sample_member(system.B, _dist(seed, 4 * t + 1))
-        rc = sample_member(system.C, _dist(seed, 4 * t + 2))
-        rd = sample_member(system.D, _dist(seed, 4 * t + 3))
+
+    def trial(t: int) -> Optional[dict]:
+        ra, rb, rc, rd = _sample_system(system, seed, t)
         base = RealizationMatrix.from_rows(
             [x + y for x, y in zip(ra.to_rows(), rb.to_rows())]
             + [x + y for x, y in zip(rc.to_rows(), rd.to_rows())]
         )
-        bad = _first_deficient_lambda(base, shift, lambdas, n + m, tol)
-        if bad is None:
-            passes += 1
-        elif counterexample is None:
-            counterexample = {"trial": t, "lambda": repr(bad)}
-    return OracleResult(
-        "iso_sampling", members, passes, counterexample,
-        f"{passes}/{members} sampled members kept full column rank",
+        return _first_deficient_lambda(base, shift, lambdas, n + m, tol, t)
+
+    return _run_trials(
+        "iso_sampling", members, trial,
+        "{passes}/{trials} sampled members kept full column rank",
     )
 
 
@@ -336,13 +341,9 @@ def output_ctrl_sampling(
             "output_ctrl_sampling", 0, 0, None, "verdict not Holds; nothing to check"
         )
     n, p = system.n, system.p
-    passes = 0
-    counterexample = None
-    for t in range(trials):
-        ra = sample_member(system.A, _dist(seed, 4 * t))
-        rb = sample_member(system.B, _dist(seed, 4 * t + 1))
-        rc = sample_member(system.C, _dist(seed, 4 * t + 2))
-        rd = sample_member(system.D, _dist(seed, 4 * t + 3))
+
+    def trial(t: int) -> Optional[dict]:
+        ra, rb, rc, rd = _sample_system(system, seed, t)
         blocks = [rd.to_rows()]
         left = rc
         for _ in range(n):
@@ -352,11 +353,9 @@ def output_ctrl_sampling(
             [x for block in blocks for x in block[i]] for i in range(p)
         ]
         member = RealizationMatrix.from_rows(stacked)
-        if numeric_rank(member, 0) == p:
-            passes += 1
-        elif counterexample is None:
-            counterexample = {"trial": t}
-    return OracleResult(
-        "output_ctrl_sampling", trials, passes, counterexample,
-        f"{passes}/{trials} sampled members at full output rank",
+        return None if numeric_rank(member, 0) == p else {"trial": t}
+
+    return _run_trials(
+        "output_ctrl_sampling", trials, trial,
+        "{passes}/{trials} sampled members at full output rank",
     )

@@ -176,10 +176,14 @@ class PatternMatrix:
         return STAR if self.star[i] >> j & 1 else QUEST
 
     def row(self, i: int) -> tuple[Symbol, ...]:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range for {self.rows}x{self.cols}")
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple[Symbol, ...]:
-        return self.entries[j :: self.cols] if self.cols else ()
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range for {self.rows}x{self.cols}")
+        return self.entries[j :: self.cols]
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -32,13 +32,14 @@ _EXACT_TYPES = (int, Fraction)
 
 @dataclass(frozen=True)
 class RealizationMatrix:
-    """Immutable dense scalar matrix, stored row-major."""
+    """Immutable dense scalar matrix, stored row-major as a tuple."""
 
     rows: int
     cols: int
     entries: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
         if self.rows < 0 or self.cols < 0:
             raise DimensionError(f"negative shape {self.rows}x{self.cols}")
         if len(self.entries) != self.rows * self.cols:
@@ -67,6 +68,8 @@ class RealizationMatrix:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range for {self.rows}x{self.cols}")
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     @property
@@ -137,6 +140,11 @@ class RealizationMatrix:
 
     def block(self, row0: int, row1: int, col0: int, col1: int) -> "RealizationMatrix":
         """Submatrix of rows [row0, row1) and columns [col0, col1)."""
+        if row0 < 0 or col0 < 0 or row1 > self.rows or col1 > self.cols:
+            raise IndexError(
+                f"rows [{row0}, {row1}) and columns [{col0}, {col1}) out of range"
+                f" for {self.rows}x{self.cols}"
+            )
         entries = tuple([
             self.entries[i * self.cols + j]
             for i in range(row0, row1)

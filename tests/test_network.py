@@ -186,6 +186,10 @@ class TestParseGraph:
             DirectedGraph(-1, frozenset())
         with pytest.raises(VertexRangeError, match=re.escape("edge (1, 3)")):
             DirectedGraph.from_edges(2, [(0, 2)])
+        repeated = DirectedGraph(2, [(0, 1), (0, 1)])
+        assert repeated == DirectedGraph.from_edges(2, [(0, 1)])
+        assert repeated.edges == frozenset({(0, 1)})
+        assert hash(repeated) == hash(DirectedGraph.from_edges(2, [(0, 1)]))
 
 
 class TestNetworkProblem:

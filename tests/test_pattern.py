@@ -261,6 +261,11 @@ class TestValueSemantics:
         assert a[0, 0] is STAR and a[1, 0] is QUEST
         with pytest.raises(IndexError):
             a[2, 0]
+        assert a.row(1) == (QUEST, STAR) and a.column(0) == (STAR, QUEST)
+        for access in (a.row, a.column):
+            for index in (2, -1):
+                with pytest.raises(IndexError, match="out of range for 2x2"):
+                    access(index)
 
 
 class TestSubmatrix:

@@ -1,8 +1,12 @@
 """Membership, sampling and the exact sum decomposition."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +123,17 @@ class TestSampleMember:
     def test_distribution_fields(self):
         names = tuple(f.name for f in dataclasses.fields(ValueDistribution))
         assert names == ("quest_zero_probability", "seed")
+
+    def test_check_draws_script_runs(self):
+        # the stdlib-only draw-contract script that pytest does not collect
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "tests/check_draws.py", "200"],
+            cwd=root, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "200 members" in done.stdout and "identical" in done.stdout
 
     def test_pinned_draws(self):
         # seed in, same numbers out: these are the draws of the Symbol-walk
@@ -293,6 +308,9 @@ class TestRealizationOps:
         assert a @ b == R([[19, 22], [43, 50]])
         assert a.scaled(2) == R([[2, 4], [6, 8]])
         assert a.transpose() == R([[1, 3], [2, 4]])
+        listed = RealizationMatrix(2, 2, [1, 2, 3, 4])
+        assert listed == a and hash(listed) == hash(a)
+        assert type(listed.entries) is tuple
 
     def test_product_matches_triple_loop(self):
         rng = random.Random(61)
@@ -347,9 +365,18 @@ class TestRealizationOps:
             (lambda: R([[1, 2]])[1, 0], IndexError, "out of range for 1x2"),
             (lambda: R([[1, 2]])[0, -1], IndexError, "out of range for 1x2"),
             (lambda: R([[1]]) - R([[1, 2]]), DimensionError, "1x1"),
+            (lambda: R([[1, 2], [3, 4]]).row(2), IndexError, "out of range for 2x2"),
+            (lambda: R([[1, 2], [3, 4]]).row(-1), IndexError, "out of range for 2x2"),
+            (lambda: R([[1, 2], [3, 4]]).block(0, 1, 0, 3), IndexError,
+             "out of range for 2x2"),
+            (lambda: R([[1, 2], [3, 4]]).block(-1, 1, 0, 2), IndexError,
+             "out of range for 2x2"),
+            (lambda: R([[1, 2], [3, 4]]).block(1, 0, 0, 2), DimensionError,
+             "negative shape"),
         ],
         ids=["negative-shape", "entry-count", "ragged", "row-index",
-             "column-index", "sub-shape"],
+             "column-index", "sub-shape", "row-past-end", "row-negative",
+             "block-past-end", "block-negative", "block-reversed"],
     )
     def test_bad_input_is_rejected(self, build, error, match):
         with pytest.raises(error, match=match):

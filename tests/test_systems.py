@@ -30,11 +30,15 @@ from patmat import (
     verify_refutation,
     vstack,
 )
+from patmat import oracles
 from patmat.oracles import (
     OracleResult,
     iso_deficiency_witness,
     iso_stacked_rank_check,
+    minkowski_roundtrip,
     output_ctrl_sampling,
+    pencil_agreement,
+    rank_soundness,
 )
 from patmat.symbols import ZERO
 
@@ -410,6 +414,38 @@ class TestCheckOutputControllability:
         assert not OracleResult("x", 0, 0).ok
         assert OracleResult("x", 2, 2).ok
         assert not OracleResult("x", 2, 1).ok
+
+    @pytest.mark.parametrize(
+        "check, failure, run",
+        [
+            ("_sums_to", False, lambda: minkowski_roundtrip(P("* ?"), P("? 0"), trials=4)),
+            ("numeric_rank", -1, lambda: pencil_agreement(
+                P("* 0\n0 *"), P("0 0\n0 0"), trials=4, lam_count=1)),
+            ("numeric_rank", -1, lambda: rank_soundness(P("* 0\n? *"), trials=4)),
+            ("numeric_rank", -1, lambda: iso_stacked_rank_check(
+                StructuredIOSystem(P("0"), P("*"), P("*"), P("0")),
+                members=4, lam_count=1)),
+            ("numeric_rank", -1, lambda: output_ctrl_sampling(
+                StructuredIOSystem(P("0"), P("*"), P("*"), P("0")), trials=4)),
+        ],
+        ids=["minkowski", "pencil", "rank", "iso_sampling", "output_ctrl_sampling"],
+    )
+    def test_first_counterexample_is_kept(self, monkeypatch, check, failure, run):
+        # one check per trial; trials 1 and 2 of 4 fail, and the report
+        # keeps trial 1's counterexample
+        original = getattr(oracles, check)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            return failure if len(calls) in (2, 3) else original(*args)
+
+        monkeypatch.setattr(oracles, check, failing)
+        result = run()
+        assert len(calls) == result.trials == 4
+        assert result.passes == 2
+        assert result.counterexample["trial"] == 1
+        assert result.ok is False
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_sampling_counts_below_one_are_rejected(self, trials):
