@@ -39,9 +39,13 @@ class DirectedGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(self.edges))
+        if type(self.n) is not int:
+            raise TypeError(f"vertex count {self.n!r} is not an integer")
         if self.n < 0:
             raise ValueError(f"negative vertex count {self.n}")
         for u, v in self.edges:
+            if type(u) is not int or type(v) is not int:
+                raise TypeError(f"edge ({u!r}, {v!r}) has a non-integer vertex")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise VertexRangeError(
                     f"edge ({u + 1}, {v + 1}) outside vertex range 1..{self.n}"
@@ -68,6 +72,8 @@ class NetworkProblem:
         if not self.targets:
             raise ValueError("target set is empty")
         for v in (*self.leaders, *self.targets):
+            if type(v) is not int:
+                raise TypeError(f"vertex {v!r} is not an integer")
             if not 0 <= v < self.graph.n:
                 raise VertexRangeError(
                     f"vertex {v + 1} outside range 1..{self.graph.n}"

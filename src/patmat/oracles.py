@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DimensionError
 from .pattern import PatternMatrix, identity_pattern
-from .rank import numeric_rank, refutation, refute_full_rank
+from .rank import numeric_rank, pencil_full_rank, refutation, refute_full_rank
 from .realization import (
     RealizationMatrix,
     ValueDistribution,
@@ -126,6 +125,31 @@ def _sample_system(system: StructuredIOSystem, seed: int, t: int) -> list:
     return [sample_member(x, _dist(seed, 4 * t + k)) for k, x in enumerate(patterns)]
 
 
+def _times_64(member: RealizationMatrix) -> list[list[int]]:
+    """The rows of 64 times a sampled member, as ints: every sampled nonzero
+    is +-k/64, so the scaled member is an integer matrix."""
+    values = []
+    for v in member.entries:
+        if 64 % v.denominator:
+            raise RuntimeError(f"sampled entry {v} is not a multiple of 1/64")
+        values.append(v.numerator * (64 // v.denominator))
+    cols = member.cols
+    return [values[i * cols : (i + 1) * cols] for i in range(member.rows)]
+
+
+def _int_product(left: list[list[int]], right: list[list[int]]) -> list[list[int]]:
+    """left @ right on int rows, adding a row of right per nonzero of left."""
+    width = len(right[0]) if right else 0
+    product = []
+    for row in left:
+        total = [0] * width
+        for x, other in zip(row, right):
+            if x:
+                total = [s + x * y for s, y in zip(total, other)]
+        product.append(total)
+    return product
+
+
 def minkowski_roundtrip(
     a: PatternMatrix, b: PatternMatrix, trials: int = 1000, seed: int = 0
 ) -> OracleResult:
@@ -180,21 +204,13 @@ def _first_deficient_lambda(
 def pencil_refutation_witness(
     a: PatternMatrix, b: PatternMatrix
 ) -> Optional[tuple[RealizationMatrix, RealizationMatrix, RealizationMatrix]]:
-    """Exact witness for a failed pencil verdict: a member of the summed
-    class with deficient rank, split into (A part, B part, sum).  At
-    lambda = -1 the pencil of the parts equals the deficient sum.  None
-    means the pencil has full rank: this one elimination decides it."""
-    if a.shape != b.shape:
-        raise DimensionError(
-            f"pencil patterns differ: {a.rows}x{a.cols} vs {b.rows}x{b.cols}"
-        )
-    total = a + b
-    work = total if total.rows <= total.cols else total.transpose()
-    witness = refute_full_rank(work)
+    """Exact witness for a failed pencil verdict: the witness of
+    pencil_full_rank, a member of the summed class with deficient rank,
+    split into (A part, B part, sum).  At lambda = -1 the pencil of the
+    parts equals the deficient sum.  None means the pencil has full rank."""
+    witness = pencil_full_rank(a, b).witness
     if witness is None:
         return None
-    if total.rows > total.cols:
-        witness = witness.transpose()
     left, right = decompose_sum(witness, a, b)
     return left, right, witness
 
@@ -343,12 +359,14 @@ def output_ctrl_sampling(
     n, p = system.n, system.p
 
     def trial(t: int) -> Optional[dict]:
-        ra, rb, rc, rd = _sample_system(system, seed, t)
-        blocks = [rd.to_rows()]
+        # block k of [64 D, 64C 64B, ...] is block k of the member times
+        # 64^(k+1), a positive scale that keeps the rank
+        ra, rb, rc, rd = map(_times_64, _sample_system(system, seed, t))
+        blocks = [rd]
         left = rc
         for _ in range(n):
-            blocks.append((left @ rb).to_rows())
-            left = left @ ra
+            blocks.append(_int_product(left, rb))
+            left = _int_product(left, ra)
         stacked = [
             [x for block in blocks for x in block[i]] for i in range(p)
         ]

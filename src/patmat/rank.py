@@ -72,9 +72,10 @@ class RankVerdict:
     """Outcome of a strong full-rank decision.
 
     full_rank=True comes with one pivot (row, col) per row in elimination
-    order; full_rank=False comes with a stall report and, from refutation,
-    an exact rank-deficient member as witness together with the left null
-    vector that proves its deficiency.
+    order; full_rank=False comes with a stall report and, from refutation
+    and pencil_full_rank, an exact rank-deficient member as witness together
+    with the null vector that proves its deficiency (a right null vector
+    for a tall pencil, a left one otherwise).
     """
 
     full_rank: bool
@@ -194,14 +195,21 @@ def full_row_rank(pattern: PatternMatrix) -> RankVerdict:
 
 def full_column_rank(pattern: PatternMatrix) -> RankVerdict:
     """Row-rank decision on the transpose, with coordinates mapped back."""
-    verdict = full_row_rank(pattern.transpose())
+    return _from_transpose(full_row_rank(pattern.transpose()))
+
+
+def _from_transpose(verdict: RankVerdict) -> RankVerdict:
+    """A row-rank verdict on the transpose, read back: pivots and stall
+    swapped, a witness transposed, and its null vector now a right one."""
     pivots = tuple([(j, i) for (i, j) in verdict.pivots])
-    stall = verdict.stall
+    stall, witness = verdict.stall, verdict.witness
     if stall is not None:
         # a stall on the shape alone names no rows
         reason = stall.reason if stall.rows else "more columns than rows"
         stall = StallReport(reason, rows=stall.cols, cols=stall.rows)
-    return RankVerdict(verdict.full_rank, pivots, stall)
+    if witness is not None:
+        witness = witness.transpose()
+    return RankVerdict(verdict.full_rank, pivots, stall, witness, verdict.null_vector)
 
 
 def verify_certificate(
@@ -209,13 +217,19 @@ def verify_certificate(
 ) -> bool:
     """Replay a success certificate: every pivot column must have exactly
     one nonzero among the rows still active at that step, at the pivot row,
-    and that entry must be *; all rows must be consumed."""
+    and that entry must be *; all rows must be consumed.  A pivot that is
+    not a pair of ints fails the replay."""
     if len(pivots) != pattern.rows:
         return False
     cnz, _ = pattern.column_masks()
     active_rows = (1 << pattern.rows) - 1
     active_cols = (1 << pattern.cols) - 1
-    for i, j in pivots:
+    for pivot in pivots:
+        if not (isinstance(pivot, (tuple, list)) and len(pivot) == 2):
+            return False
+        i, j = pivot
+        if type(i) is not int or type(j) is not int:
+            return False
         if i < 0 or j < 0 or not (active_rows >> i & 1 and active_cols >> j & 1):
             return False
         # a * at (i, j) and no other nonzero among the active rows
@@ -492,12 +506,16 @@ def refute_full_rank(pattern: PatternMatrix) -> Optional[RealizationMatrix]:
 
 def pencil_full_rank(a: PatternMatrix, b: PatternMatrix) -> RankVerdict:
     """Decide whether A - lambda*B has full rank for every pair of members
-    and every nonzero complex lambda; equivalent to full rank of a + b."""
+    and every nonzero complex lambda; equivalent to full rank of a + b,
+    decided by refutation on a + b, or on its transpose when a + b is tall.
+    A deficient verdict carries its proof, a witness member of a + b and its
+    null vector; for a tall pencil that is a right null vector, and
+    verify_refutation replays the pair on the transposes."""
     if a.shape != b.shape:
         raise DimensionError(
             f"pencil patterns differ: {a.rows}x{a.cols} vs {b.rows}x{b.cols}"
         )
     total = a + b
     if total.rows <= total.cols:
-        return full_row_rank(total)
-    return full_column_rank(total)
+        return refutation(total)
+    return _from_transpose(refutation(total.transpose()))

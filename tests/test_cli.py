@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from patmat import TextParseError, VertexRangeError, parse_pattern_text
+from patmat import TextParseError, VertexRangeError, cli, parse_pattern_text
 from patmat.cli import _parse_vertex_list, run
+from patmat.oracles import OracleResult
 
 from helpers import DATA_DIR, fig1_graph_text
 
@@ -281,6 +282,30 @@ class TestOracleCommand:
         assert captured.out == ""
         assert not report.exists()
 
+    def test_failing_oracle_prints_its_counterexample(
+        self, write, tmp_path, capsys, monkeypatch
+    ):
+        counterexample = {"trial": 1, "member": [["1/2"]]}
+
+        def failing(pattern, trials, seed):
+            return OracleResult("rank", trials, trials - 1, counterexample, "2 of 3")
+
+        monkeypatch.setitem(cli._ORACLES, "rank", (failing, 1))
+        report = tmp_path / "r.json"
+        argv = ["oracle", "rank", write("p.pat", "*\n"), "--trials", "3"]
+        assert run([*argv, "--json", str(report)]) == 1
+        assert capsys.readouterr().out == (
+            "2 of 3\ncounterexample: {'trial': 1, 'member': [['1/2']]}\n"
+        )
+        assert json.loads(report.read_text())["result"] == {
+            "name": "rank",
+            "trials": 3,
+            "passes": 2,
+            "ok": False,
+            "counterexample": counterexample,
+            "detail": "2 of 3",
+        }
+
     def test_wrong_arity_is_input_error(self, write, capsys):
         p = write("p.pat", "*\n")
         assert run(["oracle", "minkowski", p]) == 3
@@ -315,6 +340,18 @@ class TestJsonDeterminism:
             for cell in row:
                 assert isinstance(cell, str)
                 assert re.fullmatch(r"-?\d+(/\d+)?", cell)
+
+
+class TestCompareScript:
+    def test_script_finds_its_own_tree_identical(self):
+        # the random CLI comparison against another tree, run on this one
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "tests/compare_cli.py", str(root), "--count", "20"],
+            cwd=root, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.startswith("20 commands identical")
 
 
 class TestImportPath:

@@ -190,6 +190,11 @@ class TestParseGraph:
         assert repeated == DirectedGraph.from_edges(2, [(0, 1)])
         assert repeated.edges == frozenset({(0, 1)})
         assert hash(repeated) == hash(DirectedGraph.from_edges(2, [(0, 1)]))
+        message = re.escape("edge (0.5, 1) has a non-integer vertex")
+        with pytest.raises(TypeError, match=message):
+            DirectedGraph(2, [(0.5, 1)])
+        with pytest.raises(TypeError, match="vertex count 2.5 is not an integer"):
+            DirectedGraph(2.5, [])
 
 
 class TestNetworkProblem:
@@ -207,6 +212,11 @@ class TestNetworkProblem:
     def test_out_of_range_rejected(self):
         with pytest.raises(VertexRangeError):
             NetworkProblem(fig1_graph(), (0, 9), (1,))
+        graph = DirectedGraph(2, [(0, 1)])
+        with pytest.raises(TypeError, match="vertex 0.5 is not an integer"):
+            NetworkProblem(graph, (0.5,), (1,))
+        with pytest.raises(TypeError, match="vertex '1' is not an integer"):
+            NetworkProblem(graph, (0,), ("1",))
 
 
 class TestFigureOneGolden:

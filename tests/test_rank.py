@@ -165,6 +165,10 @@ class TestCertificates:
         assert not verify_certificate(pattern, pivots[:1])
         assert not verify_certificate(pattern, ((0, 1), (1, 2)))
         assert not verify_certificate(pattern, ((0, 0), (0, 0)))
+        # certificates read from outside, as the JSON's list pairs
+        assert verify_certificate(pattern, [list(p) for p in pivots])
+        for malformed in ([(0.0, 0)], [(0,)], [None], [("0", 0)]):
+            assert not verify_certificate(P("* ?"), malformed)
 
 
 class TestPivotConfluence:
@@ -325,6 +329,9 @@ class TestNumericRank:
     def test_zero_and_empty(self):
         assert numeric_rank(RealizationMatrix.zeros(2, 3), 0) == 0
         assert numeric_rank(RealizationMatrix(0, 0, ()), 0) == 0
+        # a tolerance scales by the largest entry, here 0
+        assert numeric_rank(R([[0.0, 0.0], [0.0, 0.0]]), 1e-9) == 0
+        assert numeric_rank(R([[0j], [0j]]), 0.5) == 0
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError, match="negative tolerance"):
@@ -359,6 +366,8 @@ class TestRefutation:
         witness = grid_witness_search(P("* *\n* *"))
         assert witness == R([[1, 1], [1, 1]])
         assert grid_witness_search(P("* 0\n0 *")) is None
+        # no row, so no member falls short of full row rank
+        assert grid_witness_search(PatternMatrix(0, 3, ())) is None
 
     def test_witnesses_are_exact_members_with_deficient_rank(self):
         rng = random.Random(53)
@@ -485,11 +494,15 @@ class TestVerifyRefutation:
                 columns += 1
             a, b = (random_pattern(rng, *pattern.shape) for _ in range(2))
             found = pencil_refutation_witness(a, b)
+            verdict = pencil_full_rank(a, b)
+            assert (found is None) == verdict.full_rank
             if found is not None:
+                # the verdict carries the proof of the witness it splits
                 total, work = found[2], a + b
+                assert total == verdict.witness
                 if work.rows > work.cols:
                     total, work = total.transpose(), work.transpose()
-                assert verify_refutation(work, total, refutation(work).null_vector)
+                assert verify_refutation(work, total, verdict.null_vector)
                 pencils += 1
         assert columns > 50 and pencils > 50
 
@@ -537,7 +550,12 @@ class TestPencil:
 
     def test_tall_pencil_uses_column_rank(self):
         assert pencil_full_rank(P("*\n0"), P("0\n*")).full_rank
-        assert not pencil_full_rank(P("*\n0"), P("*\n0")).full_rank
+        verdict = pencil_full_rank(P("*\n0"), P("*\n0"))
+        assert not verdict.full_rank
+        # a right null vector of the witness, the left one of its transpose
+        assert verdict.witness == R([[0], [0]]) and verdict.null_vector == (1,)
+        assert verdict.stall == StallReport("no eligible pivot column", (0, 1), (0,))
+        assert verify_refutation(P("? 0"), verdict.witness.transpose(), (1,))
 
     def test_sampling_agreement_on_random_pairs(self):
         rng = random.Random(67)

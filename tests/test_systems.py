@@ -2,11 +2,14 @@
 
 import dataclasses
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
 from patmat import (
     DimensionError,
+    DirectedGraph,
     PatternMatrix,
     RealizationMatrix,
     ConditionCheck,
@@ -25,8 +28,10 @@ from patmat import (
     hstack,
     identity_pattern,
     numeric_rank,
+    qualitative_pattern,
     refutation,
     sample_member,
+    selector_pattern,
     verify_refutation,
     vstack,
 )
@@ -165,6 +170,7 @@ class TestCheckIso:
             report = check_iso(system)
             if report.verdict is not Verdict.HOLDS:
                 continue
+            assert iso_deficiency_witness(system) is None
             result = iso_stacked_rank_check(
                 system, members=40, lam_count=10, tol=1e-9, seed=checked
             )
@@ -401,6 +407,45 @@ class TestCheckOutputControllability:
             result = output_ctrl_sampling(system, trials=100, seed=checked)
             assert result.ok, result
             checked += 1
+
+    def test_thirty_two_vertex_path_samples_in_integers(self):
+        # the directed path 1 -> ... -> 32 led from vertex 1, with targets
+        # every third vertex: each trial forms 32 powers C A^k, which as
+        # Fraction products took seconds per trial
+        n = 32
+        targets = range(0, n, 3)
+        zeros = [0] * len(targets)
+        system = StructuredIOSystem(
+            qualitative_pattern(DirectedGraph(n, [(i, i + 1) for i in range(n - 1)])),
+            selector_pattern(range(n), (0,), n),
+            selector_pattern(targets, range(n), n),
+            PatternMatrix.from_masks(len(targets), 1, zeros, zeros),
+        )
+        started = time.perf_counter()
+        result = output_ctrl_sampling(system, trials=10)
+        assert time.perf_counter() - started < 3
+        assert result.ok and result.trials == 10
+
+    def test_integer_products_are_scaled_member_products(self):
+        # the reference is the Fraction product of the members themselves
+        rng = random.Random(107)
+        for k in range(50):
+            rows, inner, cols = (rng.randint(1, 5) for _ in range(3))
+            x, y = (
+                sample_member(random_pattern(rng, *shape), ValueDistribution(seed=k))
+                for shape in ((rows, inner), (inner, cols))
+            )
+            product = oracles._int_product(oracles._times_64(x), oracles._times_64(y))
+            assert product == [[4096 * v for v in row] for row in (x @ y).to_rows()]
+
+    def test_sample_off_the_sixty_fourths_is_refused(self, monkeypatch):
+        # every sampled nonzero is +-k/64, so the integer products may
+        # scale by 64; any other entry is a broken draw, not a failed trial
+        system = StructuredIOSystem(P("0"), P("*"), P("*"), P("0"))
+        third = R([[Fraction(1, 3)]])
+        monkeypatch.setattr(oracles, "sample_member", lambda pattern, dist: third)
+        with pytest.raises(RuntimeError, match="1/3 is not a multiple of 1/64"):
+            output_ctrl_sampling(system, trials=1)
 
     def test_sampling_that_checks_nothing_does_not_pass(self):
         system = StructuredIOSystem(P("0"), P("0"), P("*"), P("0"))
