@@ -5,49 +5,42 @@ print a human-readable report to stdout, and optionally write a JSON
 report (schema version 1).  One table names each subcommand's help text
 and arguments; it drives both the parser and the report's "inputs".
 Exit status: 0 the property holds or the matrix passes, 1 it fails, 2 the
-test is inconclusive, 3 input error.
+test is inconclusive, 3 input error.  A subcommand imports only the
+modules it runs: `rank`, `add` and `mul` load neither `systems`,
+`network`, `oracles` nor `json`, and only a witness loads `realization`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
 import warnings
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import VertexRangeError
-from .network import NetworkProblem, check_target_controllability, parse_graph
-from .oracles import minkowski_roundtrip, pencil_agreement, rank_soundness
 from .pattern import PatternMatrix, parse_pattern_text
 from .rank import RankVerdict, refutation
-from .systems import (
-    AnalysisReport,
-    StructuredDescriptorSystem,
-    StructuredIOSystem,
-    Verdict,
-    check_descriptor,
-    check_iso,
-    check_output_controllability,
-    check_ssc,
-)
+
+if TYPE_CHECKING:
+    from .systems import AnalysisReport
 
 __all__ = ["run", "main"]
 
 SCHEMA_VERSION = "1"
 
-_VERDICT_EXIT = {Verdict.HOLDS: 0, Verdict.FAILS: 1, Verdict.INCONCLUSIVE: 2}
+# keyed by Verdict value, so that importing the CLI loads no systems module
+_VERDICT_EXIT = {"holds": 0, "fails": 1, "inconclusive": 2}
 _INPUT_ERROR = 3
 _PENCIL_TOL = 1e-9
 
-# oracle property -> (oracle, number of pattern files); each oracle takes
-# the patterns, then its options as keywords
+# oracle property -> (oracle's name in patmat.oracles, number of pattern
+# files); each oracle takes the patterns, then its options as keywords
 _ORACLES = {
-    "minkowski": (minkowski_roundtrip, 2),
-    "pencil": (pencil_agreement, 2),
-    "rank": (rank_soundness, 1),
+    "minkowski": ("minkowski_roundtrip", 2),
+    "pencil": ("pencil_agreement", 2),
+    "rank": ("rank_soundness", 1),
 }
 
 # subcommand -> (help text, argument names); the names are the parser's
@@ -78,7 +71,8 @@ _COMMANDS = {
 
 
 def _read_pattern(path: str) -> PatternMatrix:
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig reads a file with or without a byte-order mark alike
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_pattern_text(handle.read())
 
 
@@ -172,7 +166,7 @@ def _report(report: AnalysisReport) -> tuple[dict, int]:
         ],
         "notes": report.notes,
     }
-    return result, _VERDICT_EXIT[report.verdict]
+    return result, _VERDICT_EXIT[report.verdict.value]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -214,6 +208,8 @@ def run(argv: Optional[list[str]] = None) -> int:
         options = _oracle_options(args) if command == "oracle" else None
         result, status = _dispatch(args, options)
         if args.json is not None:
+            import json
+
             names = _COMMANDS[command][1]
             payload = {
                 "schema_version": SCHEMA_VERSION,
@@ -238,12 +234,14 @@ def _dispatch(args, options: Optional[dict]) -> tuple[dict, int]:
     text report; return the JSON result and the exit status."""
     command = args.command
     if command == "target":
+        from .network import NetworkProblem, check_target_controllability, parse_graph
+
         # the parser's warnings (self-loops, duplicate edges) become stable
         # `warning: ...` lines, printed every time and never raised
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                with open(args.graph, "r", encoding="utf-8") as handle:
+                with open(args.graph, "r", encoding="utf-8-sig") as handle:
                     graph = parse_graph(handle.read())
             finally:
                 for caught_warning in caught:
@@ -256,7 +254,10 @@ def _dispatch(args, options: Optional[dict]) -> tuple[dict, int]:
         return _report(check_target_controllability(problem))
 
     if command == "oracle":
-        oracle, arity = _ORACLES[args.property]
+        from . import oracles
+
+        name, arity = _ORACLES[args.property]
+        oracle = getattr(oracles, name)
         patterns = [_read_pattern(path) for path in args.patterns]
         if len(patterns) != arity:
             files = "one pattern file" if arity == 1 else "two pattern files"
@@ -288,14 +289,17 @@ def _dispatch(args, options: Optional[dict]) -> tuple[dict, int]:
             print("left null vector:", " ".join(map(str, verdict.null_vector)))
         return _rank_verdict_json(pattern, verdict), 0 if verdict.full_rank else 1
 
+    from . import systems
+
     if command == "ssc":
-        return _report(check_ssc(*patterns))
+        return _report(systems.check_ssc(*patterns))
     if command == "descriptor":
-        return _report(check_descriptor(StructuredDescriptorSystem(*patterns)))
-    system = StructuredIOSystem(*patterns)
+        system = systems.StructuredDescriptorSystem(*patterns)
+        return _report(systems.check_descriptor(system))
+    system = systems.StructuredIOSystem(*patterns)
     if command == "iso":
-        return _report(check_iso(system))
-    return _report(check_output_controllability(system))
+        return _report(systems.check_iso(system))
+    return _report(systems.check_output_controllability(system))
 
 
 def main() -> None:

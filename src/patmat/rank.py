@@ -27,16 +27,19 @@ alone, or None when the pattern has full row rank.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import DimensionError
 from .pattern import PatternMatrix, ones
-from .realization import RealizationMatrix, contains
 from .symbols import STAR, ZERO
+
+if TYPE_CHECKING:
+    from .realization import RealizationMatrix
 
 __all__ = [
     "StallReport",
@@ -55,6 +58,16 @@ __all__ = [
 
 # grid_witness_search's values: zero first, then by magnitude, positive first
 _GRID = (0, 1, -1, 2, -2)
+
+
+@functools.cache
+def _realization():
+    """The realization module, imported when the first witness is built or
+    checked, so that a decision without a witness loads no member
+    arithmetic.  Callers read its attributes at call time."""
+    from . import realization
+
+    return realization
 
 
 @dataclass(frozen=True)
@@ -217,9 +230,9 @@ def verify_certificate(
 ) -> bool:
     """Replay a success certificate: every pivot column must have exactly
     one nonzero among the rows still active at that step, at the pivot row,
-    and that entry must be *; all rows must be consumed.  A pivot that is
-    not a pair of ints fails the replay."""
-    if len(pivots) != pattern.rows:
+    and that entry must be *; all rows must be consumed.  Pivots that are
+    not a list or tuple of int pairs fail the replay."""
+    if not isinstance(pivots, (tuple, list)) or len(pivots) != pattern.rows:
         return False
     cnz, _ = pattern.column_masks()
     active_rows = (1 << pattern.rows) - 1
@@ -249,14 +262,19 @@ def verify_refutation(
     pattern class and the null vector y exact, nonzero and one entry per
     row, with y.W = 0 column by column.  Then W has rank below its row
     count.  The sums run over the nonzero entries of y only, so the check
-    costs one membership pass plus O(cols) per such entry."""
-    if witness.shape != pattern.shape or len(null_vector) != pattern.rows:
-        return False
+    costs one membership pass plus O(cols) per such entry.  A witness that
+    is not a RealizationMatrix, or a null vector that is not a list or
+    tuple, fails the replay."""
+    realization = _realization()
     if not (
-        all(isinstance(y, (int, Fraction)) for y in null_vector)
+        isinstance(witness, realization.RealizationMatrix)
+        and isinstance(null_vector, (tuple, list))
+        and witness.shape == pattern.shape
+        and len(null_vector) == pattern.rows
+        and all(isinstance(y, (int, Fraction)) for y in null_vector)
         and any(null_vector)
         and witness.is_exact()
-        and contains(pattern, witness, 0)
+        and realization.contains(pattern, witness, 0)
     ):
         return False
     # W is a member, so it vanishes off the pattern's nonzeros
@@ -433,7 +451,7 @@ def grid_witness_search(pattern: PatternMatrix) -> Optional[RealizationMatrix]:
             template[pos] = v
         a = [template[i * cols : (i + 1) * cols] for i in range(rows)]
         if _exact_rank(a) < rows:
-            return RealizationMatrix(rows, cols, tuple(template))
+            return _realization().RealizationMatrix(rows, cols, tuple(template))
     return None
 
 
@@ -484,7 +502,7 @@ def refutation(pattern: PatternMatrix) -> RankVerdict:
                 entries[r * cols + j] = sign[r]
             last = stars[-1]
             entries[last * cols + j] = -(len(stars) - 1) * sign[last]
-    witness = RealizationMatrix(rows, cols, tuple(entries))
+    witness = _realization().RealizationMatrix(rows, cols, tuple(entries))
     null_vector = tuple(sign)
     if not verify_refutation(pattern, witness, null_vector):
         raise RuntimeError(

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: exit codes, reports, JSON output."""
 
+import ast
 import json
 import re
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from patmat import TextParseError, VertexRangeError, cli, parse_pattern_text
+from patmat import TextParseError, VertexRangeError, parse_pattern_text
 from patmat.cli import _parse_vertex_list, run
 from patmat.oracles import OracleResult
 
@@ -29,12 +30,18 @@ def drop_timing(text: str) -> str:
     return re.sub(r'\s*"timing_seconds": [0-9.e-]+,?', "", text)
 
 
+def data_argv(argv):
+    """argv with each pattern and graph file name resolved in DATA_DIR."""
+    return [str(DATA_DIR / a) if a.endswith((".pat", ".graph")) else a for a in argv]
+
+
 class TestRankCommand:
     def test_full_rank_exits_zero(self, write, capsys):
-        path = write("a.pat", "* 0\n? *\n")
-        assert run(["rank", path]) == 0
-        out = capsys.readouterr().out
-        assert "full row rank" in out
+        # a file saved with a UTF-8 byte-order mark reads the same
+        for text in ("* 0\n? *\n", "\ufeff* 0\n? *\n"):
+            assert run(["rank", write("a.pat", text)]) == 0
+            out = capsys.readouterr().out
+            assert "full row rank" in out
 
     def test_all_star_reports_all_ones_witness(self, write, tmp_path, capsys):
         path = write("a.pat", "* *\n* *\n")
@@ -140,10 +147,11 @@ class TestSystemCommands:
 
 class TestTargetCommand:
     def test_figure_one_network_holds(self, write, capsys):
-        graph = write("fig1.graph", fig1_graph_text())
-        assert run(["target", graph, "--leaders", "1,2", "--targets", "1-7"]) == 0
-        out = capsys.readouterr().out
-        assert "verdict: holds" in out
+        for bom in ("", "\ufeff"):
+            graph = write("fig1.graph", bom + fig1_graph_text())
+            assert run(["target", graph, "--leaders", "1,2", "--targets", "1-7"]) == 0
+            out = capsys.readouterr().out
+            assert "verdict: holds" in out
 
     def test_vertex_list_variants(self, write):
         graph = write("g.graph", "n 4\n1 2\n2 3\n3 4\n")
@@ -290,7 +298,7 @@ class TestOracleCommand:
         def failing(pattern, trials, seed):
             return OracleResult("rank", trials, trials - 1, counterexample, "2 of 3")
 
-        monkeypatch.setitem(cli._ORACLES, "rank", (failing, 1))
+        monkeypatch.setattr("patmat.oracles.rank_soundness", failing)
         report = tmp_path / "r.json"
         argv = ["oracle", "rank", write("p.pat", "*\n"), "--trials", "3"]
         assert run([*argv, "--json", str(report)]) == 1
@@ -389,6 +397,71 @@ class TestImportPath:
         )
         assert done.returncode == 0, done.stderr
 
+    # (argv, exit status, which of WATCHED the command loads), on the
+    # golden inputs; argv None is a bare `import patmat`.  Only a witness,
+    # here the stalled rank pattern's, needs realization.
+    WATCHED = (
+        "patmat.realization", "patmat.systems", "patmat.network", "patmat.oracles",
+        "json",
+    )
+    LOADS = {
+        "import": (None, 0, []),
+        "rank": (["rank", "stall.pat"], 1, ["patmat.realization"]),
+        "add": (["add", "ssc_a.pat", "ssc_a.pat"], 0, []),
+        "mul": (["mul", "mul_left.pat", "mul_right.pat"], 0, []),
+        "ssc": (["ssc", "ssc_a.pat", "ssc_b.pat"], 0, ["patmat.systems"]),
+        "descriptor": (
+            ["descriptor", "descriptor_e.pat", "ssc_fail_a.pat", "ssc_fail_b.pat"],
+            2,
+            ["patmat.systems"],
+        ),
+        "iso": (
+            ["iso", "io_a.pat", "io_b.pat", "io_c.pat", "io_d.pat"],
+            1,
+            ["patmat.systems"],
+        ),
+        "output-ctrl": (
+            ["output-ctrl", "io_a.pat", "io_b.pat", "io_c.pat", "io_d.pat"],
+            2,
+            ["patmat.systems"],
+        ),
+        "target": (
+            ["target", "fig1.graph", "--leaders", "1,2", "--targets", "1-7"],
+            0,
+            ["patmat.systems", "patmat.network"],
+        ),
+        "oracle": (
+            ["oracle", "rank", "mul_right.pat", "--trials", "3"],
+            0,
+            ["patmat.realization", "patmat.systems", "patmat.oracles"],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LOADS))
+    def test_each_subcommand_loads_only_what_it_runs(self, case):
+        # a fresh process per command, so that no command relies on a
+        # module another one loaded
+        argv, status, loaded = self.LOADS[case]
+        if argv is None:
+            code = "import patmat\nstatus = 0\n"
+        else:
+            code = f"from patmat.cli import run\nstatus = run({data_argv(argv)!r})\n"
+        code += (
+            "import sys\n"
+            "print(status, sorted(m for m in sys.modules"
+            " if m.startswith('patmat.') or m == 'json'))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        exit_text, _, modules = done.stdout.splitlines()[-1].partition(" ")
+        modules = ast.literal_eval(modules)
+        assert int(exit_text) == status
+        assert [m for m in self.WATCHED if m in modules] == loaded
+        if argv is None:
+            assert modules == []
+
 
 class TestGoldenJson:
     """JSON reports pinned byte for byte, modulo timing_seconds; the input
@@ -443,10 +516,7 @@ class TestGoldenJson:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_report_matches_golden(self, name, tmp_path, capsys):
-        argv = [
-            str(DATA_DIR / a) if a.endswith((".pat", ".graph")) else a
-            for a in self.CASES[name]
-        ]
+        argv = data_argv(self.CASES[name])
         report = tmp_path / "report.json"
         assert run(argv + ["--json", str(report)]) == self.EXIT[name]
         payload = json.loads(report.read_text())

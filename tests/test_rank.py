@@ -169,6 +169,9 @@ class TestCertificates:
         assert verify_certificate(pattern, [list(p) for p in pivots])
         for malformed in ([(0.0, 0)], [(0,)], [None], [("0", 0)]):
             assert not verify_certificate(P("* ?"), malformed)
+        # a certificate that is not a list or tuple at all
+        for malformed in (None, 5, iter([(0, 0)])):
+            assert not verify_certificate(P("*"), malformed)
 
 
 class TestPivotConfluence:
@@ -454,6 +457,15 @@ class TestVerifyRefutation:
         # outside the class, on a row y ignores: only membership catches it
         assert not verify_refutation(pattern, member(0, 1, 5), y)
         assert not verify_refutation(P("* 0 0 0\n0 * * ?"), witness, y[:2])
+        # a null vector that is not a list or tuple, a witness that is not
+        # a RealizationMatrix; a list null vector still verifies
+        for malformed in (None, 5, iter(y)):
+            assert not verify_refutation(pattern, witness, malformed)
+        for malformed in (None, rows):
+            assert not verify_refutation(pattern, malformed, y)
+        assert not verify_refutation(P("*"), R([[0]]), None)
+        assert not verify_refutation(P("*"), [[0]], [1])
+        assert verify_refutation(pattern, witness, list(y))
 
     def test_exact_rank_is_never_consulted(self, monkeypatch):
         patterns = [P("* *\n* *"), P("*\n*"), P("* * ?\n? * *"), self.PATTERN]
