@@ -8,6 +8,7 @@ Exit status: 0 the property holds or the matrix passes, 1 it fails, 2 the
 test is inconclusive, 3 input error.  A subcommand imports only the
 modules it runs: `rank`, `add` and `mul` load neither `systems`,
 `network`, `oracles` nor `json`, and only a witness loads `realization`.
+The JSON result is built only when --json asks for it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import sys
 import time
 import warnings
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import VertexRangeError
 from .pattern import PatternMatrix, parse_pattern_text
@@ -143,8 +144,9 @@ def _rank_verdict_json(pattern: PatternMatrix, verdict: RankVerdict) -> dict:
     }
 
 
-def _report(report: AnalysisReport) -> tuple[dict, int]:
-    """Print a system report; return its JSON result and exit status."""
+def _report(report: AnalysisReport) -> tuple[Callable[[], dict], int]:
+    """Print a system report; return the builder of its JSON result and the
+    exit status."""
     print(f"property: {report.property.value}")
     for cond in report.conditions:
         status = "full rank" if cond.passed else "not full rank"
@@ -152,20 +154,23 @@ def _report(report: AnalysisReport) -> tuple[dict, int]:
     if report.rank_conditions_hold is not None:
         print(f"  rank conditions hold: {report.rank_conditions_hold}")
     print(f"verdict: {report.verdict.value}")
-    result = {
-        "property": report.property.value,
-        "verdict": report.verdict.value,
-        "rank_conditions_hold": report.rank_conditions_hold,
-        "conditions": [
-            {
-                "name": cond.name,
-                "shape": list(cond.shape),
-                **_rank_verdict_json(cond.pattern, cond.verdict),
-            }
-            for cond in report.conditions
-        ],
-        "notes": report.notes,
-    }
+
+    def result() -> dict:
+        return {
+            "property": report.property.value,
+            "verdict": report.verdict.value,
+            "rank_conditions_hold": report.rank_conditions_hold,
+            "conditions": [
+                {
+                    "name": cond.name,
+                    "shape": list(cond.shape),
+                    **_rank_verdict_json(cond.pattern, cond.verdict),
+                }
+                for cond in report.conditions
+            ],
+            "notes": report.notes,
+        }
+
     return result, _VERDICT_EXIT[report.verdict.value]
 
 
@@ -218,7 +223,7 @@ def run(argv: Optional[list[str]] = None) -> int:
             }
             if options is not None:
                 payload["options"] = options
-            payload["result"] = result
+            payload["result"] = result()
             payload["timing_seconds"] = round(time.perf_counter() - started, 6)
             with open(args.json, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, indent=2)
@@ -229,9 +234,10 @@ def run(argv: Optional[list[str]] = None) -> int:
     return status
 
 
-def _dispatch(args, options: Optional[dict]) -> tuple[dict, int]:
+def _dispatch(args, options: Optional[dict]) -> tuple[Callable[[], dict], int]:
     """Run the subcommand (an oracle with the given options) and print its
-    text report; return the JSON result and the exit status."""
+    text report; return the builder of its JSON result and the exit
+    status."""
     command = args.command
     if command == "target":
         from .network import NetworkProblem, check_target_controllability, parse_graph
@@ -267,14 +273,18 @@ def _dispatch(args, options: Optional[dict]) -> tuple[dict, int]:
         if result.counterexample is not None:
             print(f"counterexample: {result.counterexample}")
         keys = ("name", "trials", "passes", "ok", "counterexample", "detail")
-        return {key: getattr(result, key) for key in keys}, 0 if result.ok else 1
+        return (
+            lambda: {key: getattr(result, key) for key in keys},
+            0 if result.ok else 1,
+        )
 
     patterns = [_read_pattern(getattr(args, name)) for name in _COMMANDS[command][1]]
     if command in ("add", "mul"):
         left, right = patterns
         result = left + right if command == "add" else left @ right
-        print(result.to_text())
-        return {"pattern": result.to_text().splitlines()}, 0
+        text = result.to_text()
+        print(text)
+        return lambda: {"pattern": text.splitlines()}, 0
 
     if command == "rank":
         (pattern,) = patterns
@@ -287,7 +297,10 @@ def _dispatch(args, options: Optional[dict]) -> tuple[dict, int]:
             print("rank-deficient member:")
             print(verdict.witness)
             print("left null vector:", " ".join(map(str, verdict.null_vector)))
-        return _rank_verdict_json(pattern, verdict), 0 if verdict.full_rank else 1
+        return (
+            lambda: _rank_verdict_json(pattern, verdict),
+            0 if verdict.full_rank else 1,
+        )
 
     from . import systems
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .pattern import PatternMatrix, identity_pattern
-from .rank import numeric_rank, pencil_full_rank, refutation, refute_full_rank
+from .rank import _from_transpose, numeric_rank, pencil_full_rank, refutation
 from .realization import (
     RealizationMatrix,
     ValueDistribution,
@@ -335,7 +335,7 @@ def iso_deficiency_witness(system: StructuredIOSystem) -> Optional[IsoRefutation
     for shifted, cond in enumerate(check_iso(system).conditions):
         if cond.passed:
             continue
-        witness = refute_full_rank(cond.pattern.transpose()).transpose()
+        witness = _from_transpose(refutation(cond.pattern.transpose())).witness
         state_part, diagonal_shift = witness.block(0, n, 0, n), None
         if shifted:  # the top-left block is a member of A + I
             state_part, diagonal_shift = decompose_sum(

@@ -44,6 +44,18 @@ def _masks(words: Iterable[str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(nz), tuple(star)
 
 
+# a row's token at each column, from the binary digits of its masks there
+_DIGIT_TOKENS = {("0", "0"): "0", ("1", "0"): "?", ("1", "1"): "*"}
+
+
+def _word(nz: int, star: int, cols: int) -> str:
+    """The tokens of one row, joined without spaces, from its masks."""
+    top = 1 << cols  # a leading 1 keeps each mask at cols binary digits
+    # bin(...)[:2:-1] drops '0b1' and reverses, so column j is at index j
+    digits = zip(bin(nz | top)[:2:-1], bin(star | top)[:2:-1])
+    return "".join(map(_DIGIT_TOKENS.get, digits))
+
+
 def _token(e: Symbol | str) -> str:
     return (e if isinstance(e, Symbol) else Symbol.from_token(e))._value_
 
@@ -194,8 +206,18 @@ class PatternMatrix:
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "PatternMatrix":
         """The entries at the given rows and columns, in the order given."""
-        entries = [self[i, j] for i in rows for j in cols]
-        return PatternMatrix(len(rows), len(cols), entries)
+        if not cols:
+            return PatternMatrix.zeros(len(rows), 0)
+        # the first pair out of range raises, as self[i, j] would
+        bad = [j for j in cols if not 0 <= j < self.cols]
+        for i in rows:
+            self[i, cols[0]]
+            if bad:
+                self[i, bad[0]]
+        words = (_word(self.nz[i], self.star[i], self.cols) for i in rows)
+        return PatternMatrix.from_masks(
+            len(rows), len(cols), *_masks("".join([w[j] for j in cols]) for w in words)
+        )
 
     def column_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(nz, star) masks of the columns, bit i being row i; computed
@@ -286,7 +308,9 @@ class PatternMatrix:
     # -- text format -------------------------------------------------
 
     def to_text(self) -> str:
-        return "\n".join(" ".join(s.token for s in self.row(i)) for i in range(self.rows))
+        return "\n".join(
+            " ".join(_word(n, s, self.cols)) for n, s in zip(self.nz, self.star)
+        )
 
     def __str__(self) -> str:
         return self.to_text()

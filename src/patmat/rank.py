@@ -183,16 +183,24 @@ class _Elimination:
 
     def verdict(self) -> RankVerdict:
         """The verdict on the columns so far, after run()."""
-        if self.rows > self.cols:
-            return RankVerdict(False, stall=StallReport("more rows than columns"))
-        pivots = tuple(self.pivots)
-        if not self.rows_left:
-            return RankVerdict(True, pivots)
-        pivoted = {c for _, c in pivots}
-        cols = tuple([j for j in range(self.cols) if j not in pivoted])
-        stalled = tuple(ones(self.rows_left))
-        stall = StallReport("no eligible pivot column", stalled, cols)
-        return RankVerdict(False, pivots, stall)
+        return _verdict(self.rows, self.cols, self.pivots, self.rows_left)
+
+
+def _verdict(
+    rows: int, cols: int, pivots: Sequence[tuple[int, int]], rows_left: int
+) -> RankVerdict:
+    """The verdict of an elimination over rows x cols that took the pivots
+    and left the rows of the mask rows_left."""
+    if rows > cols:
+        return RankVerdict(False, stall=StallReport("more rows than columns"))
+    pivots = tuple(pivots)
+    if not rows_left:
+        return RankVerdict(True, pivots)
+    pivoted = {c for _, c in pivots}
+    unpivoted = tuple([j for j in range(cols) if j not in pivoted])
+    stalled = tuple(ones(rows_left))
+    stall = StallReport("no eligible pivot column", stalled, unpivoted)
+    return RankVerdict(False, pivots, stall)
 
 
 def full_row_rank(pattern: PatternMatrix) -> RankVerdict:

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import DimensionError
 from .pattern import PatternMatrix, hstack, identity_pattern, ones, vstack
-from .rank import RankVerdict, _Elimination, full_column_rank, full_row_rank
+from .rank import RankVerdict, _Elimination, _verdict, full_column_rank, full_row_rank
 from .symbols import QUEST
 
 __all__ = [
@@ -47,22 +47,67 @@ class SystemProperty(enum.Enum):
     OUTPUT_CONTROLLABILITY = "output_controllability"
 
 
+class _Cut:
+    """A resumable elimination as it stood after one run(): the prefix's
+    shape, row masks, pivots and remaining rows.  extend() replaces the mask
+    lists instead of changing them, so the cut keeps them as they are; run()
+    appends to the pivot list, so the cut copies it."""
+
+    __slots__ = ("rows", "cols", "nz", "star", "pivots", "rows_left")
+
+    def __init__(self, state: _Elimination):
+        self.rows, self.cols = state.rows, state.cols
+        self.nz, self.star = state.nz, state.star
+        self.pivots = tuple(state.pivots)
+        self.rows_left = state.rows_left
+
+
 @dataclass(frozen=True)
 class ConditionCheck:
     """A composite pattern and the strong full-rank verdict on it; a stall's
-    residual is pattern.submatrix(stall.rows, stall.cols)."""
+    residual is pattern.submatrix(stall.rows, stall.cols).
+
+    A condition taken from a cut of an elimination builds its pattern and
+    verdict on first read; its shape and passed need neither."""
 
     name: str
     pattern: PatternMatrix
     verdict: RankVerdict
 
+    @classmethod
+    def _from_cut(cls, name: str, cut: _Cut) -> "ConditionCheck":
+        cond = cls.__new__(cls)
+        object.__setattr__(cond, "name", name)
+        object.__setattr__(cond, "_cut", cut)
+        return cond
+
+    def __getattr__(self, attr):
+        # called only for an attribute not set yet
+        cut = self.__dict__.get("_cut")
+        if cut is None or attr not in ("pattern", "verdict"):
+            raise AttributeError(f"'ConditionCheck' object has no attribute {attr!r}")
+        if attr == "pattern":
+            value = PatternMatrix.from_masks(cut.rows, cut.cols, cut.nz, cut.star)
+        else:
+            value = _verdict(cut.rows, cut.cols, cut.pivots, cut.rows_left)
+        object.__setattr__(self, attr, value)
+        return value
+
+    def __getstate__(self):
+        # the fields, built if need be, and no cut
+        return {"name": self.name, "pattern": self.pattern, "verdict": self.verdict}
+
     @property
     def shape(self) -> tuple[int, int]:
-        return self.pattern.shape
+        cut = self.__dict__.get("_cut")
+        return self.pattern.shape if cut is None else (cut.rows, cut.cols)
 
     @property
     def passed(self) -> bool:
-        return self.verdict.full_rank
+        cut = self.__dict__.get("_cut")
+        if cut is None:
+            return self.verdict.full_rank
+        return cut.rows <= cut.cols and not cut.rows_left
 
 
 @dataclass(frozen=True)
@@ -278,7 +323,8 @@ def check_output_controllability(system: StructuredIOSystem) -> AnalysisReport:
     One elimination runs through all the prefixes: each power appends its
     block to the state and resumes from the previous stall, which takes the
     same pivots and stall as eliminating the prefix afresh.  Each prefix's
-    composite is built from the state's row masks.
+    condition is a cut of the state, whose composite and verdict are built
+    only when read.
     """
     n = system.n
     state = _Elimination(system.p)
@@ -288,10 +334,7 @@ def check_output_controllability(system: StructuredIOSystem) -> AnalysisReport:
         state.extend(block)
         state.run()
         names.append(("D", "CB", "CAB")[k] if k < 3 else f"CA^{k - 1}B")
-        composite = PatternMatrix.from_masks(
-            state.rows, state.cols, state.nz, state.star
-        )
-        cond = ConditionCheck("[" + " ".join(names) + "]", composite, state.verdict())
+        cond = ConditionCheck._from_cut("[" + " ".join(names) + "]", _Cut(state))
         conditions.append(cond)
         if cond.passed:
             verdict = Verdict.HOLDS

@@ -531,6 +531,21 @@ class TestGoldenJson:
         golden = json.loads((DATA_DIR / "golden" / f"{name}.json").read_text())
         assert payload == golden
 
+    @pytest.mark.parametrize(
+        "name", ["rank", "target_inconclusive", "output_ctrl_inconclusive"]
+    )
+    def test_text_report_builds_no_json(self, name, tmp_path, capsys, monkeypatch):
+        argv = data_argv(self.CASES[name])
+        assert run(argv + ["--json", str(tmp_path / "report.json")]) == self.EXIT[name]
+        expected = capsys.readouterr()
+
+        def refuse(*args):
+            raise AssertionError("a JSON result was built without --json")
+
+        monkeypatch.setattr("patmat.cli._rank_verdict_json", refuse)
+        assert run(argv) == self.EXIT[name]
+        assert capsys.readouterr() == expected
+
     def test_bad_token_message_and_line(self, write, capsys):
         text = "* 0\n\n# c\n* x ?\n"
         with pytest.raises(TextParseError) as info:

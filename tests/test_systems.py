@@ -1,8 +1,11 @@
 """System-level property checks and their sampling cross-validations."""
 
+import copy
 import dataclasses
+import pickle
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +13,9 @@ import pytest
 from patmat import (
     DimensionError,
     DirectedGraph,
+    NetworkProblem,
     PatternMatrix,
+    RankVerdict,
     RealizationMatrix,
     ConditionCheck,
     StructuredDescriptorSystem,
@@ -22,6 +27,7 @@ from patmat import (
     check_iso,
     check_output_controllability,
     check_ssc,
+    check_target_controllability,
     contains,
     derive_seed,
     full_row_rank,
@@ -61,6 +67,35 @@ def random_io_system(rng, nmax=3, weights=(5, 3, 2)):
         random_pattern(rng, p, n, weights),
         random_pattern(rng, p, m, weights),
     )
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The number of pattern matrices and rank verdicts constructed during
+    the test, by kind."""
+    counts = Counter()
+    set_masks, init_verdict = PatternMatrix._set, RankVerdict.__init__
+
+    def counted_set(*args):
+        counts["pattern"] += 1
+        set_masks(*args)
+
+    def counted_init(*args, **kwargs):
+        counts["verdict"] += 1
+        init_verdict(*args, **kwargs)
+
+    monkeypatch.setattr(PatternMatrix, "_set", counted_set)
+    monkeypatch.setattr(RankVerdict, "__init__", counted_init)
+    return counts
+
+
+def twin_leaf_problem(n):
+    """The path 0 -> ... -> n-3 with twin leaves n-2 and n-1 of vertex 3,
+    led from vertex 0; the twins' rows never separate, so the test stays
+    inconclusive through all n powers."""
+    edges = [(v, v + 1) for v in range(n - 3)] + [(3, n - 2), (3, n - 1)]
+    graph = DirectedGraph.from_edges(n, edges)
+    return NetworkProblem(graph, (0,), (0, 3, n - 2, n - 1))
 
 
 class TestCheckSsc:
@@ -373,6 +408,50 @@ class TestCheckOutputControllability:
                 else Verdict.INCONCLUSIVE
             )
             assert report.verdict is expected
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda cond: cond,
+            hash,
+            repr,
+            lambda cond: pickle.loads(pickle.dumps(cond)),
+            copy.deepcopy,
+            lambda cond: dataclasses.replace(cond, name="renamed"),
+        ],
+        ids=["eq", "hash", "repr", "pickle", "deepcopy", "replace"],
+    )
+    def test_conditions_read_as_eager_ones(self, read):
+        # each prefix's pattern and verdict are built on first read; the
+        # draws include shape stalls, elimination stalls and passes
+        rng = random.Random(107)
+        for _ in range(40):
+            system = random_io_system(rng, nmax=4)
+            eager = [
+                ConditionCheck(cond.name, cond.pattern, cond.verdict)
+                for cond in check_output_controllability(system).conditions
+            ]
+            lazy = check_output_controllability(system).conditions
+            assert [read(cond) for cond in lazy] == [read(cond) for cond in eager]
+
+    def test_shape_and_passed_build_no_pattern_or_verdict(self, built):
+        report = check_target_controllability(twin_leaf_problem(12))
+        read = [(cond.shape, cond.passed) for cond in report.conditions]
+        assert built["verdict"] == 0
+        blocks = built["pattern"]  # the products of the blocks, no composite
+        assert read == [
+            (cond.pattern.shape, cond.verdict.full_rank) for cond in report.conditions
+        ]
+        assert built["pattern"] - blocks == len(report.conditions)
+
+    def test_inconclusive_network_builds_only_the_verdict_read(self, built):
+        n = 12
+        report = check_target_controllability(twin_leaf_problem(n))
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert len(report.conditions) == n + 1
+        last = report.conditions[-1]
+        assert last.verdict is last.verdict  # built once, on the first read
+        assert built["verdict"] == 1
 
     def test_block_product_containment(self):
         rng = random.Random(101)
