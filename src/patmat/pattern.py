@@ -10,7 +10,8 @@ Each row is stored as two Python-int bit masks: bit j of `nz[i]` is set
 when entry (i, j) is not 0, and bit j of `star[i]` when it is *.  A ?
 entry is a bit of nz that is clear in star, so star is always a subset of
 nz.  All algebra runs on the masks; the Symbol tuple `entries` is derived
-from them on first use.
+from them on first use.  The product rule is stated once, in
+`_product_rows`; `@` and the powers of `_powers` both run on it.
 """
 
 from __future__ import annotations
@@ -68,6 +69,50 @@ def ones(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _product_rows(x_nz, x_star, y_nz, y_star) -> tuple[list[int], list[int]]:
+    """Row masks of X @ Y: entry (i, j) is 0 when no k has both factors
+    nonzero, * when exactly one k does and both of its factors are *, and ?
+    otherwise.  Row i ORs together Y's rows at the set bits k of x_nz[i];
+    x_star[i] is read only at those bits."""
+    out_nz, out_star = [], []
+    for n, s in zip(x_nz, x_star):
+        reached = twice = starred = 0
+        while n:
+            low = n & -n
+            k = low.bit_length() - 1
+            row = y_nz[k]
+            twice |= reached & row
+            reached |= row
+            if s & low:
+                starred |= y_star[k]
+            n ^= low
+        out_nz.append(reached)
+        out_star.append(starred & ~twice)
+    return out_nz, out_star
+
+
+def _powers(left: "PatternMatrix", a: "PatternMatrix"):
+    """left, left A, left A^2, ... without end, each made when asked for.
+
+    When every diagonal entry of A is ?, each power turns every nonzero of
+    the last into ? and adds only columns reached from the row's frontier,
+    the columns new at the last power; so only the frontier is multiplied.
+    """
+    if any(a[i, i] is not QUEST for i in range(a.rows)):
+        while True:
+            yield left
+            left = left @ a
+    nz, star = left.nz, left.star
+    frontier = nz
+    while True:
+        yield left
+        reached, starred = _product_rows(frontier, star, a.nz, a.star)
+        frontier = [r & ~m for r, m in zip(reached, nz)]
+        nz = [m | r for m, r in zip(nz, reached)]
+        star = [s & f for s, f in zip(starred, frontier)]
+        left = PatternMatrix._unchecked(left.rows, left.cols, nz, star)
 
 
 class PatternMatrix:
@@ -132,8 +177,13 @@ class PatternMatrix:
                 raise DimensionError(f"row mask {n:#x} outside {cols} columns")
             if s & ~n:
                 raise ValueError("star mask must be a subset of the nonzero mask")
+        return cls._unchecked(rows, cols, nz, star)
+
+    @classmethod
+    def _unchecked(cls, rows, cols, nz, star) -> "PatternMatrix":
+        """from_masks without its checks, for masks valid by construction."""
         self = cls.__new__(cls)
-        self._set(rows, cols, nz, star)
+        self._set(rows, cols, tuple(nz), tuple(star))
         return self
 
     @classmethod
@@ -173,9 +223,7 @@ class PatternMatrix:
             out = []
             for n, s in zip(self.nz, self.star):
                 for j in range(self.cols):
-                    out.append(
-                        ZERO if not n >> j & 1 else STAR if s >> j & 1 else QUEST
-                    )
+                    out.append(ZERO if not n >> j & 1 else STAR if s >> j & 1 else QUEST)
             object.__setattr__(self, "_entries", tuple(out))
         return self._entries
 
@@ -206,14 +254,12 @@ class PatternMatrix:
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "PatternMatrix":
         """The entries at the given rows and columns, in the order given."""
-        if not cols:
-            return PatternMatrix.zeros(len(rows), 0)
-        # the first pair out of range raises, as self[i, j] would
-        bad = [j for j in cols if not 0 <= j < self.cols]
-        for i in rows:
-            self[i, cols[0]]
-            if bad:
-                self[i, bad[0]]
+        # every index is checked, whatever the other selection holds
+        shape = f"{self.rows}x{self.cols}"
+        for kind, picks, size in (("row", rows, self.rows), ("column", cols, self.cols)):
+            for x in picks:
+                if not 0 <= x < size:
+                    raise IndexError(f"{kind} {x} out of range for {shape}")
         words = (_word(self.nz[i], self.star[i], self.cols) for i in rows)
         return PatternMatrix.from_masks(
             len(rows), len(cols), *_masks("".join([w[j] for j in cols]) for w in words)
@@ -223,8 +269,7 @@ class PatternMatrix:
         """(nz, star) masks of the columns, bit i being row i; computed
         once per matrix."""
         if self._columns is None:
-            cnz = [0] * self.cols
-            cstar = [0] * self.cols
+            cnz, cstar = [0] * self.cols, [0] * self.cols
             for i, (n, s) in enumerate(zip(self.nz, self.star)):
                 bit = 1 << i
                 for j in ones(n):
@@ -281,23 +326,13 @@ class PatternMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by"
                 f" {other.rows}x{other.cols}"
             )
-        # entry (i, j) is 0 when no k has both factors nonzero, * when
-        # exactly one k does and both of its factors are *, ? otherwise
-        cnz, cstar = other.column_masks()
-        columns = [(1 << j, cnz[j], cstar[j]) for j in range(other.cols)]
-        nz_out, star_out = [], []
-        for n, s in zip(self.nz, self.star):
-            rn = rs = 0
-            if n:
-                for bit, cn, cs in columns:
-                    t = n & cn
-                    if t:
-                        rn |= bit
-                        if t & (t - 1) == 0 and t & s & cs:
-                            rs |= bit
-            nz_out.append(rn)
-            star_out.append(rs)
-        return PatternMatrix.from_masks(self.rows, other.cols, nz_out, star_out)
+        # an all-0 row k of other adds nothing, so only the live rows are read
+        live = 0
+        for column in other.column_masks()[0]:
+            live |= column
+        live_nz = [n & live for n in self.nz]
+        nz, star = _product_rows(live_nz, self.star, other.nz, other.star)
+        return PatternMatrix._unchecked(self.rows, other.cols, nz, star)
 
     def transpose(self) -> "PatternMatrix":
         cnz, cstar = self.column_masks()

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DimensionError
-from .pattern import PatternMatrix, hstack, identity_pattern, ones, vstack
+from .pattern import PatternMatrix, _powers, hstack, identity_pattern, vstack
 from .rank import RankVerdict, _Elimination, _verdict, full_column_rank, full_row_rank
-from .symbols import QUEST
 
 __all__ = [
     "Verdict",
@@ -263,43 +262,11 @@ def check_iso(system: StructuredIOSystem) -> AnalysisReport:
 
 
 def _output_ctrl_blocks(system: StructuredIOSystem):
-    """The blocks D, CB, CAB, CA^2B, ... without end; each product is
-    computed only when its block is asked for.
-
-    When every diagonal entry of A is ?, each power C A^(k+1) follows from
-    C A^k row by row: the term L[i,j] A[j,j] turns every nonzero into ?, and
-    a column first turns nonzero only from the row's frontier, the columns
-    that turned nonzero at the last power.  A new entry is * when exactly
-    one frontier column reaches it and both factors are *.
-    """
-    a, b = system.A, system.B
+    """The blocks D, CB, CAB, CA^2B, ... without end, each made when asked
+    for: D, then each power C A^k of pattern._powers times B."""
     yield system.D
-    left = system.C
-    if any(a[i, i] is not QUEST for i in range(a.rows)):
-        while True:
-            yield left @ b
-            left = left @ a
-    a_nz, a_star = a.nz, a.star
-    nz, star = list(left.nz), list(left.star)
-    frontier = list(nz)
-    while True:
-        yield left @ b
-        for i, front in enumerate(frontier):
-            if not front:  # nothing can turn nonzero, and no * is left
-                continue
-            reached = twice = starred = 0
-            s = star[i]
-            for k in ones(front):
-                row = a_nz[k]
-                twice |= reached & row
-                reached |= row
-                if s >> k & 1:
-                    starred |= a_star[k]
-            new = reached & ~nz[i]
-            nz[i] |= new
-            star[i] = new & starred & ~twice
-            frontier[i] = new
-        left = PatternMatrix.from_masks(left.rows, left.cols, nz, star)
+    for power in _powers(system.C, system.A):
+        yield power @ system.B
 
 
 def build_output_ctrl_pattern(
@@ -342,10 +309,8 @@ def check_output_controllability(system: StructuredIOSystem) -> AnalysisReport:
             break
     else:
         verdict = Verdict.INCONCLUSIVE
-        notes = (
-            "sufficient rank test failed through power"
-            f" {n - 1}; no conclusion about the family"
-        )
+        tested = f"through power {n - 1}" if n else "on [D], as there are no states"
+        notes = f"sufficient rank test failed {tested}; no conclusion about the family"
     return AnalysisReport(
         SystemProperty.OUTPUT_CONTROLLABILITY, verdict, tuple(conditions), notes=notes
     )

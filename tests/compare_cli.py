@@ -51,8 +51,8 @@ json.dump(outcomes, sys.stdout)
 """
 
 
-def _pattern_text(rng: random.Random, rows: int, cols: int) -> str:
-    weights = rng.choice(((1, 1, 1), (5, 3, 2), (2, 5, 1)))
+def _pattern_text(rng: random.Random, rows: int, cols: int, sparse: bool) -> str:
+    weights = (60, 2, 1) if sparse else rng.choice(((1, 1, 1), (5, 3, 2), (2, 5, 1)))
     return "".join(
         " ".join(rng.choices("0*?", weights=weights, k=cols)) + "\n"
         for _ in range(rows)
@@ -91,8 +91,9 @@ class _Files:
         path.write_text(text, encoding="utf-8")
         return str(path)
 
-    def pattern(self, rows: int, cols: int) -> str:
-        """A pattern file of the shape, or now and then a bad one."""
+    def pattern(self, rows: int, cols: int, sparse: bool = False) -> str:
+        """A pattern file of the shape, or now and then a bad one; a sparse
+        one is mostly 0, so that large ones have all-0 rows and columns."""
         roll = self.rng.random()
         if roll < 0.03:
             return self.missing
@@ -100,7 +101,7 @@ class _Files:
             return self.bad
         if roll < 0.1:  # a shape the command may not accept
             rows, cols = self.rng.randint(1, 4), self.rng.randint(1, 4)
-        return self._write(".pat", _pattern_text(self.rng, rows, cols))
+        return self._write(".pat", _pattern_text(self.rng, rows, cols, sparse))
 
     def graph(self, n: int) -> str:
         if self.rng.random() < 0.05:
@@ -120,8 +121,11 @@ def random_command(rng: random.Random, files: _Files, report: str) -> list:
     ))
     if command in ("add", "mul"):
         r, k, c = size(), size(), size()
+        sparse = command == "mul" and rng.random() < 0.3
+        if sparse:  # products large enough to skip rows and columns
+            r, k, c = (rng.randint(1, 30) for _ in range(3))
         right = (k, c) if command == "mul" else (r, k)
-        argv = [command, files.pattern(r, k), files.pattern(*right)]
+        argv = [command, files.pattern(r, k, sparse), files.pattern(*right, sparse)]
     elif command == "rank":
         argv = ["rank", files.pattern(size(), size())]
     elif command in ("ssc", "descriptor"):

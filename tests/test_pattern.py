@@ -281,7 +281,14 @@ class TestSubmatrix:
         assert self.A.submatrix((1,), ()) == PatternMatrix(1, 0, ())
         assert self.A.submatrix((), (0, 2)) == PatternMatrix(0, 2, ())
 
-    @pytest.mark.parametrize("rows, cols", [((3,), (0,)), ((0,), (3,)), ((-1,), (0,))])
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            ((3,), (0,)), ((0,), (3,)), ((-1,), (0,)),
+            # an index is checked even when the other selection is empty
+            ((3,), ()), ((-1,), ()), ((), (3,)), ((), (-1,)),
+        ],
+    )
     def test_out_of_range_raises(self, rows, cols):
         with pytest.raises(IndexError):
             self.A.submatrix(rows, cols)

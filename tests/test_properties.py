@@ -35,6 +35,7 @@ from patmat import (
     verify_refutation,
     vstack,
 )
+from patmat.network import selector_pattern
 from patmat.oracles import _sums_to
 from patmat.rank import _Elimination
 from patmat.symbols import QUEST, STAR, ZERO, add_symbol, mul_symbol
@@ -417,8 +418,10 @@ def quest_diagonal_systems(draw):
     """Random (A, B, C, D) with n from 1 to 12 states and p from 1 to 5
     outputs.  A's diagonal is set all ? in four draws of five, as in a
     network's qualitative pattern, and otherwise left as drawn.  B is the
-    identity in half the draws, so that the blocks are the powers C A^k
-    themselves, and has 1 to 3 random columns otherwise.  D is random in
+    identity in a third of the draws, so that the blocks are the powers
+    C A^k themselves.  In another third it is a selector of 1 to 3 leaders
+    as a network builds it, one * per column on distinct rows, whose other
+    rows are all 0.  Otherwise it has 1 to 3 random columns.  D is random in
     half the draws and zero otherwise."""
     n = draw(st.integers(1, 12))
     p = draw(st.integers(1, 5))
@@ -431,8 +434,12 @@ def quest_diagonal_systems(draw):
             [mask | 1 << i for i, mask in enumerate(a.nz)],
             [mask & ~(1 << i) for i, mask in enumerate(a.star)],
         )
-    if draw(st.booleans()):
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
         b = identity_pattern(n)
+    elif kind == 1:
+        leaders = rng.sample(range(n), draw(st.integers(1, min(3, n))))
+        b = selector_pattern(range(n), leaders, n)
     else:
         b = _grid(rng, n, draw(st.integers(1, 3)), weights)
     c = _grid(rng, p, n, weights)
@@ -445,12 +452,16 @@ def quest_diagonal_systems(draw):
 @settings(PROPERTY, max_examples=300)
 @given(quest_diagonal_systems())
 def test_output_ctrl_blocks_match_repeated_products(system):
-    # the blocks come from A's row masks when its diagonal is all ?, and
-    # from `left @ A` otherwise; both must equal the plain powers
+    # the powers come from the frontier when A's diagonal is all ?, and
+    # from `left @ A` otherwise; both must equal the plain powers, formed
+    # here with the symbol tables rather than the mask product
+    def product(x, y):
+        return PatternMatrix(x.rows, y.cols, _ref_matmul(x, y))
+
     blocks, left = [system.D], system.C
     for _ in range(system.n):
-        blocks.append(left @ system.B)
-        left = left @ system.A
+        blocks.append(product(left, system.B))
+        left = product(left, system.A)
     assert build_output_ctrl_pattern(system, system.n - 1) == hstack(blocks)
     report = check_output_controllability(system)
     assert (report.verdict, report.conditions) == _ref_output_controllability(system)

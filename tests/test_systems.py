@@ -385,6 +385,18 @@ class TestCheckOutputControllability:
         report = check_output_controllability(system)
         assert report.verdict is Verdict.HOLDS
         assert len(report.conditions) == 1  # stopped at [D]
+        # with no states, [D] is the only condition, and no power is named
+        no_states = StructuredIOSystem(
+            PatternMatrix.zeros(0, 0), PatternMatrix.zeros(0, 1),
+            PatternMatrix.zeros(1, 0), P("?"),
+        )
+        report = check_output_controllability(no_states)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert [cond.name for cond in report.conditions] == ["[D]"]
+        assert report.notes == (
+            "sufficient rank test failed on [D], as there are no states;"
+            " no conclusion about the family"
+        )
 
     def test_star_cancellation_is_inconclusive(self):
         system = StructuredIOSystem(
